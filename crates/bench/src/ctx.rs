@@ -3,9 +3,10 @@
 //! `BENCH_<id>.json` artifacts and regression gating in one place.
 //!
 //! An [`ExpCtx`] wraps the engine executor plus the artifact being built
-//! for the current experiment. Experiments call [`ExpCtx::mean_rounds`] /
-//! [`ExpCtx::sweep`] for seed sweeps (sharded across `--threads N`
-//! workers), [`ExpCtx::map`] for bespoke parallel cells, and
+//! for the current experiment. Experiments call
+//! [`ExpCtx::mean_rounds_spec`] / [`ExpCtx::sweep_spec`] for seed sweeps
+//! of a registry spec (sharded across `--threads N` workers),
+//! [`ExpCtx::map`] for bespoke parallel cells, and
 //! [`ExpCtx::table`] / [`ExpCtx::fit`] / [`ExpCtx::scalar`] to record what
 //! they print. Because every cell carries its own seed and results return
 //! in submission order, the artifact bytes are independent of the thread
@@ -13,11 +14,11 @@
 
 use crate::table::{f, Table};
 use dyncode_core::params::Instance;
-use dyncode_core::runner::{run_one, run_spec};
+use dyncode_core::runner::{run_spec_kernel, Kernel};
 use dyncode_core::spec::ProtocolSpec;
 use dyncode_core::theory;
 use dyncode_dynet::adversary::Adversary;
-use dyncode_dynet::simulator::{Protocol, RunResult, SimConfig};
+use dyncode_dynet::simulator::{RunResult, SimConfig};
 use dyncode_engine::{
     run_campaign, Artifact, Campaign, CellRecord, Engine, Fit, RunError, RunRecord, Scalar,
     SeedStats, TableData,
@@ -91,43 +92,18 @@ impl ExpCtx {
         self.engine.map_strict(jobs)
     }
 
-    /// Runs one labelled seed sweep through the engine and records it as
-    /// an artifact cell (stats + raw runs + contained errors). Failures
-    /// and panics are recorded, not raised — callers that require full
-    /// completion should use [`ExpCtx::mean_rounds`].
-    pub fn sweep<P, FB, FA>(
-        &mut self,
-        label: &str,
-        meta: &[(&str, String)],
-        seeds: &[u64],
-        cap: usize,
-        build: FB,
-        adv: FA,
-    ) -> SeedStats
-    where
-        P: Protocol,
-        FB: Fn() -> P + Sync,
-        FA: Fn() -> Box<dyn Adversary> + Sync,
-    {
-        let config = SimConfig::with_max_rounds(cap);
-        let (build, adv, config) = (&build, &adv, &config);
-        let jobs: Vec<_> = seeds
-            .iter()
-            .map(|&s| move || run_one(build, adv, config, s))
-            .collect();
-        let outcomes = self.engine.map(jobs);
-        self.record_cell(label, meta, seeds, outcomes)
-    }
-
-    /// [`ExpCtx::sweep`] for a registry spec: the protocol is named by a
-    /// [`ProtocolSpec`] string instead of a build closure, and each seed's
-    /// cell runs through the erased dispatch path
-    /// (`dyncode_core::runner::run_spec`) — bit-identical to the
-    /// monomorphized path by the registry's equivalence contract.
+    /// Runs one labelled seed sweep of a registry spec through the engine
+    /// and records it as an artifact cell (stats + raw runs + contained
+    /// errors). Each seed's cell runs the spec's reference state machine
+    /// (`dyncode_core::runner::run_spec_kernel` on `Kernel::Reference`)
+    /// — bit-identical to the monomorphized protocol by the registry's
+    /// equivalence contract. Failures and panics are recorded, not
+    /// raised — callers that require full completion should use
+    /// [`ExpCtx::mean_rounds_spec`].
     ///
     /// Cells run at stability interval T = 1; protocols with a T of
     /// their own take it as a spec parameter (`pipelined-forwarding(8)`).
-    #[allow(clippy::too_many_arguments)] // mirrors `sweep` plus the spec pair
+    #[allow(clippy::too_many_arguments)] // label and meta plus the run inputs
     pub fn sweep_spec<FA>(
         &mut self,
         label: &str,
@@ -145,7 +121,7 @@ impl ExpCtx {
         let (adv, config) = (&adv, &config);
         let jobs: Vec<_> = seeds
             .iter()
-            .map(|&s| move || run_spec(spec, inst, 1, adv, config, s))
+            .map(|&s| move || run_spec_kernel(spec, inst, 1, adv, config, s, Kernel::Reference))
             .collect();
         let outcomes = self.engine.map(jobs);
         self.record_cell(label, meta, seeds, outcomes)
@@ -189,8 +165,9 @@ impl ExpCtx {
     }
 
     /// [`ExpCtx::sweep_spec`] for sweeps that must fully complete:
-    /// asserts no failures or contained errors and returns the mean
-    /// rounds.
+    /// asserts no failures or contained errors (after recording them in
+    /// the artifact, so a written artifact still shows what went wrong)
+    /// and returns the mean rounds.
     #[allow(clippy::too_many_arguments)] // mirrors `sweep_spec`
     pub fn mean_rounds_spec<FA>(
         &mut self,
@@ -223,34 +200,6 @@ impl ExpCtx {
         let a = run_campaign(&self.engine, campaign);
         self.artifact.cells.extend(a.cells.iter().cloned());
         a.cells
-    }
-
-    /// [`ExpCtx::sweep`] for sweeps that must fully complete: asserts no
-    /// failures or contained errors (after recording them in the
-    /// artifact, so a written artifact still shows what went wrong) and
-    /// returns the mean rounds.
-    pub fn mean_rounds<P, FB, FA>(
-        &mut self,
-        label: &str,
-        meta: &[(&str, String)],
-        seeds: &[u64],
-        cap: usize,
-        build: FB,
-        adv: FA,
-    ) -> f64
-    where
-        P: Protocol,
-        FB: Fn() -> P + Sync,
-        FA: Fn() -> Box<dyn Adversary> + Sync,
-    {
-        let stats = self.sweep(label, meta, seeds, cap, build, adv);
-        assert!(
-            stats.all_completed(),
-            "sweep {label:?}: {} of {} runs did not complete within {cap} rounds",
-            stats.failures + stats.errors,
-            stats.runs
-        );
-        stats.mean_rounds
     }
 
     /// Prints a table and records it into the artifact.
@@ -299,25 +248,32 @@ mod tests {
     use dyncode_core::params::{Instance, Params, Placement};
     use dyncode_core::protocols::TokenForwarding;
     use dyncode_dynet::adversaries::ShuffledPathAdversary;
+    use dyncode_dynet::simulator::run;
 
     fn ctx(threads: usize) -> ExpCtx {
         ExpCtx::new(true, threads, None)
+    }
+
+    fn shuffled_path() -> Box<dyn Adversary> {
+        Box::new(ShuffledPathAdversary)
     }
 
     #[test]
     fn sweep_records_a_cell_and_matches_serial() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
+        let spec = ProtocolSpec::parse("token-forwarding").unwrap();
         let run = |threads: usize| {
             let mut c = ctx(threads);
             c.begin("t", "test");
-            let stats = c.sweep(
+            let stats = c.sweep_spec(
                 "cell",
                 &[("n", "8".into())],
                 &[1, 2, 3],
                 10_000,
-                || TokenForwarding::baseline(&inst),
-                || Box::new(ShuffledPathAdversary),
+                &spec,
+                &inst,
+                shuffled_path,
             );
             (stats, c.artifact().to_json_string())
         };
@@ -334,34 +290,28 @@ mod tests {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
         let spec = ProtocolSpec::parse("token-forwarding").unwrap();
-
-        let mut c1 = ctx(2);
-        c1.begin("t", "test");
-        let s1 = c1.sweep(
-            "cell",
-            &[("n", "8".into())],
-            &[1, 2, 3],
-            10_000,
-            || TokenForwarding::baseline(&inst),
-            || Box::new(ShuffledPathAdversary),
-        );
-
-        let mut c2 = ctx(2);
-        c2.begin("t", "test");
-        let s2 = c2.sweep_spec(
-            "cell",
-            &[("n", "8".into())],
-            &[1, 2, 3],
-            10_000,
-            &spec,
-            &inst,
-            || Box::new(ShuffledPathAdversary) as Box<dyn Adversary>,
-        );
-        assert_eq!(s1, s2, "spec sweep must equal the closure sweep");
+        let seeds = [1u64, 2, 3];
+        let mut c = ctx(2);
+        c.begin("t", "test");
+        let stats = c.sweep_spec("cell", &[], &seeds, 10_000, &spec, &inst, shuffled_path);
+        // The closure sweep: the typed protocol built per seed and run
+        // directly on the simulator.
+        let build = || TokenForwarding::baseline(&inst);
+        let config = SimConfig::with_max_rounds(10_000);
+        let typed: Vec<RunResult> = seeds
+            .iter()
+            .map(|&s| run(&mut build(), &mut ShuffledPathAdversary, &config, s))
+            .collect();
+        assert_eq!(stats, SeedStats::from_runs(&typed, 0));
+        let recorded: Vec<RunRecord> = seeds
+            .iter()
+            .zip(&typed)
+            .map(|(&s, r)| RunRecord::from_run(s, r))
+            .collect();
         assert_eq!(
-            c1.artifact().to_json_string(),
-            c2.artifact().to_json_string(),
-            "artifact bytes must be identical across the two dispatch paths"
+            c.artifact().cells[0].runs,
+            recorded,
+            "the spec sweep must record the typed protocol's runs"
         );
     }
 
@@ -395,13 +345,15 @@ mod tests {
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
         let mut c = ctx(2);
         c.begin("t", "test");
-        c.mean_rounds(
+        let spec = ProtocolSpec::parse("token-forwarding").unwrap();
+        c.mean_rounds_spec(
             "impossible",
             &[],
             &[1, 2],
             1, // a 1-round cap cannot complete
-            || TokenForwarding::baseline(&inst),
-            || Box::new(ShuffledPathAdversary),
+            &spec,
+            &inst,
+            shuffled_path,
         );
     }
 

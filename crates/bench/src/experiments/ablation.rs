@@ -10,7 +10,7 @@ use crate::table::{f, Table};
 use dyncode_core::protocols::GreedyForward;
 use dyncode_core::spec::ProtocolSpec;
 use dyncode_dynet::adversaries::{KnowledgeAdaptiveAdversary, ShuffledPathAdversary};
-use dyncode_dynet::simulator::{run_erased, Erased, SimConfig};
+use dyncode_dynet::simulator::{run, Erased, SimConfig};
 
 /// E15 — the field-size trade-off at protocol level (Section 3's point
 /// that the header competes with the payload): larger q buys per-delivery
@@ -125,7 +125,7 @@ pub fn e16(ctx: &mut ExpCtx) {
                     for &s in seeds_ref {
                         let mut p = spec.build(inst_ref, 1);
                         let mut adv = KnowledgeAdaptiveAdversary;
-                        let r = run_erased(
+                        let r = run(
                             &mut p,
                             &mut adv,
                             &SimConfig::with_max_rounds(200 * n * n),

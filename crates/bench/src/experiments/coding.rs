@@ -285,7 +285,7 @@ pub fn e8(ctx: &mut ExpCtx) {
                             .unwrap()
                             .build(&inst, 1);
                         let mut adv = ShuffledPathAdversary;
-                        let r = dyncode_dynet::simulator::run_erased(
+                        let r = dyncode_dynet::simulator::run(
                             &mut p,
                             &mut adv,
                             &dyncode_dynet::SimConfig::with_max_rounds(budget + 1),

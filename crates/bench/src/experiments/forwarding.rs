@@ -10,7 +10,7 @@ use dyncode_core::spec::ProtocolSpec;
 use dyncode_core::theory;
 use dyncode_dynet::adversaries::ShuffledPathAdversary;
 use dyncode_dynet::adversary::TStable;
-use dyncode_dynet::simulator::{run_erased, Erased, SimConfig};
+use dyncode_dynet::simulator::{run, Erased, SimConfig};
 
 /// E1 — Theorem 2.1: token forwarding takes Θ(nkd/(bT) + n) rounds:
 /// sweeps n (k = n), then b at fixed n, then T at fixed n and b.
@@ -172,7 +172,7 @@ pub fn e6(ctx: &mut ExpCtx) {
                                 .inner()
                                 .schedule_rounds();
                             let mut adv = ShuffledPathAdversary;
-                            run_erased(&mut proto, &mut adv, &SimConfig::with_max_rounds(cap), s);
+                            run(&mut proto, &mut adv, &SimConfig::with_max_rounds(cap), s);
                             proto
                                 .as_any()
                                 .downcast_ref::<Erased<RandomForward>>()

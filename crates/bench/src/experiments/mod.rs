@@ -50,7 +50,7 @@ pub fn d_for(n: usize) -> usize {
 
 /// Runs one protocol instance to completion and returns the result,
 /// asserting success. (Used inside engine cells for bespoke sweeps; plain
-/// seed sweeps go through `ExpCtx::mean_rounds`.)
+/// seed sweeps go through `ExpCtx::mean_rounds_spec`.)
 pub(crate) fn run_to_done<P: Protocol>(
     mut proto: P,
     adv: &mut dyn Adversary,

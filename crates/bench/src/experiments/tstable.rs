@@ -4,7 +4,7 @@ use super::{d_for, meta_nkdb, standard_instance};
 use crate::ctx::ExpCtx;
 use crate::table::{f, Table};
 use dyncode_core::protocols::patch::{patch_dissemination, patch_indexed_broadcast, PatchParams};
-use dyncode_core::protocols::TokenForwarding;
+use dyncode_core::spec::ProtocolSpec;
 use dyncode_core::theory;
 use dyncode_dynet::adversaries::ShuffledPathAdversary;
 use dyncode_dynet::adversary::TStable;
@@ -42,18 +42,15 @@ pub fn e3(ctx: &mut ExpCtx) {
         let inst = standard_instance(n, d, b, 31);
         let mut meta = meta_nkdb(&inst.params);
         meta.push(("t", tt.to_string()));
-        let mf = ctx.mean_rounds(
+        // Below T = 4 the pipelined schedule is the baseline one.
+        let spec = ProtocolSpec::PipelinedForwarding { t: Some(tt) };
+        let mf = ctx.mean_rounds_spec(
             &format!("E3 fwd T={tt}"),
             &meta,
             &seeds,
             20 * n * n,
-            || {
-                if tt == 1 {
-                    TokenForwarding::baseline(&inst)
-                } else {
-                    TokenForwarding::pipelined(&inst, tt)
-                }
-            },
+            &spec,
+            &inst,
             || Box::new(TStable::new(ShuffledPathAdversary, tt)),
         );
         // Patch coding runs per seed as parallel engine cells (the patch

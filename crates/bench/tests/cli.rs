@@ -473,6 +473,22 @@ fn campaign_usage_errors_exit_2() {
     let out = experiments(&["campaign", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("key = value"), "{}", stderr(&out));
+    // A flood-staged protocol on a lossy channel is a usage error naming
+    // the spec and the delivery model, not a mid-run cell failure.
+    let lossy = dir.join("lossy.camp");
+    std::fs::write(
+        &lossy,
+        "id = lossy\nprotocol = greedy-forward\nadversaries = shuffled-path\n\
+         delivery = radio(p=0.3)\nn = 12\nseeds = 7\n",
+    )
+    .unwrap();
+    let out = experiments(&["campaign", lossy.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("greedy-forward") && err.contains("radio(p=0.3)"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -21,8 +21,9 @@
 //!   `Box<dyn ErasedProtocol>` surface.
 //! * [`theory`] — closed-form bound formulas and shape-regression helpers
 //!   used by the experiment harness.
-//! * [`runner`] — seed sweeps and summaries, over concrete protocol types
-//!   ([`runner::run_one`]) or registry specs ([`runner::run_spec`]).
+//! * [`runner`] — the one spec runner ([`runner::run_spec_kernel`], on
+//!   the reference or fast kernel) plus run summaries; concrete protocol
+//!   types run directly through `dyncode_dynet::simulator::run`.
 //!
 //! # Quickstart
 //!

@@ -1,27 +1,27 @@
-//! Experiment-facing run helpers: seed sweeps, completion verification and
-//! summary statistics — over concrete protocol types ([`run_one`],
-//! [`sweep_seeds`]) or registry specs ([`run_spec`], [`sweep_seeds_spec`]).
+//! Experiment-facing run helpers: the one spec runner
+//! ([`run_spec_kernel`]), completion verification and summary statistics.
+//! Concrete protocol types run directly through
+//! `dyncode_dynet::simulator::run`.
 //!
-//! Spec runs dispatch over a [`Kernel`]: the reference simulator, the
-//! arena-backed `dyncode-kernel` fast path ([`run_spec_kernel`]), or
-//! `Auto`, which picks the fast path for the eligible families
-//! ([`fast_eligible`]) and falls back to the reference otherwise. The
-//! contract, locked by `tests/kernel_equivalence.rs`: for every eligible
-//! spec × adversary × seed, both backends return bit-identical
-//! `RunResult`s, per-round histories included.
+//! Spec runs dispatch over a [`Kernel`]: the reference per-node state
+//! machines, the `dyncode-kernel` fast cells, or `Auto`, which picks the
+//! fast cells for the eligible families ([`fast_eligible`]) and falls
+//! back to the reference otherwise. Both run in the same round loop
+//! (`dyncode_dynet::simulator::run_fast`). The contract, locked by
+//! `tests/kernel_equivalence.rs`: for every eligible spec × adversary ×
+//! seed, both kernels return bit-identical `RunResult`s, per-round
+//! histories included.
 
 use crate::params::Instance;
 use crate::protocols::field_broadcast::token_to_symbols;
 use crate::protocols::patch::{patch_dissemination, PatchParams};
 use crate::protocols::token_forwarding::ForwardingConfig;
 use crate::spec::{FieldKind, ProtocolSpec};
-use crate::term::{TerminationPredicate, TOKEN_COMPLETION};
 use dyncode_dynet::adversary::Adversary;
-use dyncode_dynet::simulator::{run, run_erased, Protocol, RunResult, SimConfig};
+use dyncode_dynet::simulator::{Protocol, ProtocolCell, RunResult, SimConfig};
 use dyncode_gf::{Field, Gf256, Gf257, Mersenne61};
 use dyncode_kernel::{
-    run_fast, DenseCell, ErasedCell, FastCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode,
-    QuorumCell,
+    run_fast, DenseCell, FastCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode, QuorumCell,
 };
 
 pub use dyncode_kernel::Kernel;
@@ -73,138 +73,6 @@ pub fn summarize(results: &[RunResult]) -> Summary {
         failures,
         mean_bits: mean(&|r| r.total_bits as f64),
     }
-}
-
-/// Runs one freshly built `(protocol, adversary)` cell under `config` from
-/// `seed`, verifying the dissemination postcondition
-/// ([`TOKEN_COMPLETION`]) on completion.
-///
-/// This is the single-cell primitive every sweep goes through: the serial
-/// [`sweep_seeds`] below and the parallel `dyncode-engine` executor both
-/// delegate here, which is what makes `--threads N` output identical to
-/// serial output — a cell's result depends only on `(build, adv, config,
-/// seed)`, never on which thread or in which order it ran.
-///
-/// Concrete protocols with a different meaning of done (e.g. the quorum
-/// family) go through [`run_one_term`] with their own predicate; spec
-/// runs ([`run_spec`]) pick the predicate from the registry.
-pub fn run_one<P, FB, FA>(build: &FB, adv: &FA, config: &SimConfig, seed: u64) -> RunResult
-where
-    P: Protocol,
-    FB: Fn() -> P,
-    FA: Fn() -> Box<dyn Adversary>,
-{
-    run_one_term(build, adv, config, seed, &TOKEN_COMPLETION)
-}
-
-/// [`run_one`] under an explicit [`TerminationPredicate`]: the completed
-/// run's final knowledge view is verified against `term` instead of the
-/// token-completion default. The predicate only checks the postcondition
-/// — it never alters the run itself, so results are bit-identical across
-/// predicates.
-pub fn run_one_term<P, FB, FA>(
-    build: &FB,
-    adv: &FA,
-    config: &SimConfig,
-    seed: u64,
-    term: &dyn TerminationPredicate,
-) -> RunResult
-where
-    P: Protocol,
-    FB: Fn() -> P,
-    FA: Fn() -> Box<dyn Adversary>,
-{
-    let (mut p, mut a) = {
-        let _setup = dyncode_obs::span!("runner.setup", seed = seed);
-        (build(), adv())
-    };
-    let r = {
-        let _run = dyncode_obs::span!("runner.run", seed = seed);
-        run(&mut p, a.as_mut(), config, seed)
-    };
-    {
-        let _teardown = dyncode_obs::span!("runner.teardown", seed = seed);
-        if r.completed {
-            if let Err(e) = term.verify(&p.view(), p.num_tokens()) {
-                panic!(
-                    "completed run failed its {} postcondition (seed {seed}): {e}",
-                    term.name()
-                );
-            }
-        }
-        drop(a);
-        drop(p);
-    }
-    r
-}
-
-/// [`run_one`] for a registry spec: builds the protocol named by `spec`
-/// over `inst` (with the cell's stability interval `t`) and runs it
-/// through the dyn-dispatch simulator twin, verifying the spec's own
-/// [`TerminationPredicate`] ([`ProtocolSpec::termination`]) on
-/// completion — token completion for dissemination families, the quorum
-/// threshold for the quorum families.
-///
-/// Equivalence contract: for every simulator spec the returned
-/// `RunResult` is bit-identical to running the monomorphized protocol
-/// through [`run_one`] — the erased wrapper forwards every call without
-/// touching the RNG (locked by `tests/protocol_registry.rs`).
-///
-/// `patch-indexed` is the one non-simulator spec: its §8 charged-rounds
-/// model consumes the adversary per stability window, and the result maps
-/// charged rounds into `RunResult::rounds` (bit accounting stays zero —
-/// the model charges rounds, not messages).
-pub fn run_spec<FA>(
-    spec: &ProtocolSpec,
-    inst: &Instance,
-    t: usize,
-    adv: &FA,
-    config: &SimConfig,
-    seed: u64,
-) -> RunResult
-where
-    FA: Fn() -> Box<dyn Adversary>,
-{
-    if let ProtocolSpec::PatchIndexed = spec {
-        let mut a = adv();
-        let name = a.name();
-        let pp = PatchParams::new(inst.params.n, t.max(1), inst.params.b);
-        let res = {
-            let _run = dyncode_obs::span!("runner.run", seed = seed);
-            patch_dissemination(inst, pp, a.as_mut(), seed, config.max_rounds)
-        };
-        return RunResult {
-            rounds: res.charged_rounds,
-            completed: res.completed,
-            total_bits: 0,
-            max_message_bits: 0,
-            adversary: name,
-            history: Vec::new(),
-        };
-    }
-    let (mut p, mut a) = {
-        let _setup = dyncode_obs::span!("runner.setup", seed = seed);
-        (spec.build(inst, t), adv())
-    };
-    let r = {
-        let _run = dyncode_obs::span!("runner.run", seed = seed);
-        run_erased(&mut p, a.as_mut(), config, seed)
-    };
-    {
-        let _teardown = dyncode_obs::span!("runner.teardown", seed = seed);
-        if r.completed {
-            let term = spec.termination();
-            if let Err(e) = term.verify(&p.view(), p.num_tokens()) {
-                panic!(
-                    "completed {spec} run failed its {} postcondition (seed {seed}): {e}",
-                    term.name()
-                );
-            }
-        }
-        drop(a);
-        drop(p);
-    }
-    r
 }
 
 /// Why `spec` cannot run on the fast backend, or `None` if it can.
@@ -307,9 +175,10 @@ fn build_gf256_cell(inst: &Instance) -> Box<dyn FastCell> {
 /// [`ProtocolSpec::build`]). Dedicated cells cover the elimination-bound
 /// coding families ([`Gf2Cell`], [`Gf256Cell`], [`DenseCell`]) and the
 /// Theorem 2.1
-/// forwarding schedules ([`ForwardCell`]); the stage-machine families run
-/// through [`ErasedCell`], which reuses the fast loop's CSR snapshot and
-/// message arenas around the reference state machines.
+/// forwarding schedules ([`ForwardCell`]), plus [`QuorumCell`]; the
+/// stage-machine families have no cell of their own and run their
+/// reference state machines through `ProtocolCell`, exactly as on
+/// [`Kernel::Reference`].
 ///
 /// # Errors
 /// Returns the [`fast_ineligibility`] message on an ineligible spec.
@@ -363,7 +232,7 @@ pub fn build_fast_cell(
         | ProtocolSpec::PriorityForward { .. }
         | ProtocolSpec::RandomForward { .. }
         | ProtocolSpec::NaiveCoded
-        | ProtocolSpec::Centralized => Box::new(ErasedCell::new(spec.build(inst, t))),
+        | ProtocolSpec::Centralized => Box::new(ProtocolCell::new(spec.build(inst, t))),
         ProtocolSpec::QuorumWatermark { .. } | ProtocolSpec::QuorumDecide { .. } => {
             let cfg = spec.quorum_config().expect("quorum spec has a config");
             Box::new(QuorumCell::new(p.n, p.k, cfg))
@@ -375,9 +244,27 @@ pub fn build_fast_cell(
     })
 }
 
-/// [`run_spec`] through an explicit [`Kernel`]: the reference simulator,
-/// the arena-backed fast path, or `Auto` dispatch between them — with the
-/// same dissemination assertion on completion either way.
+/// Runs one `(spec, adversary)` cell under `config` from `seed` on
+/// `kernel`, verifying the spec's own [`TerminationPredicate`]
+/// ([`ProtocolSpec::termination`]) on completion — token completion for
+/// dissemination families, the quorum threshold for the quorum families.
+///
+/// This is the single cell primitive: experiment sweeps and the
+/// `dyncode-engine` executor both delegate here, which is what makes
+/// `--threads N` output identical to serial output — a cell's result
+/// depends only on its inputs, never on which thread ran it.
+///
+/// [`Kernel::Reference`] runs the spec's reference state machine
+/// ([`ProtocolSpec::build`]) in the round loop through `ProtocolCell`;
+/// `Fast` runs [`build_fast_cell`]'s cell in the same loop. `Auto`
+/// resolves per [`resolve_kernel`].
+///
+/// `patch-indexed` is the one non-simulator spec: its §8 charged-rounds
+/// model consumes the adversary per stability window, and the result maps
+/// charged rounds into `RunResult::rounds` (bit accounting stays zero —
+/// the model charges rounds, not messages).
+///
+/// [`TerminationPredicate`]: crate::term::TerminationPredicate
 ///
 /// # Panics
 /// Panics with the [`fast_ineligibility`] message on an explicit
@@ -396,15 +283,32 @@ pub fn run_spec_kernel<FA>(
 where
     FA: Fn() -> Box<dyn Adversary>,
 {
-    if resolve_kernel(spec, kernel) != Kernel::Fast {
-        return run_spec(spec, inst, t, adv, config, seed);
+    let fast = resolve_kernel(spec, kernel) == Kernel::Fast;
+    if !fast && *spec == ProtocolSpec::PatchIndexed {
+        let mut a = adv();
+        let name = a.name();
+        let pp = PatchParams::new(inst.params.n, t.max(1), inst.params.b);
+        let res = {
+            let _run = dyncode_obs::span!("runner.run", seed = seed);
+            patch_dissemination(inst, pp, a.as_mut(), seed, config.max_rounds)
+        };
+        return RunResult {
+            rounds: res.charged_rounds,
+            completed: res.completed,
+            total_bits: 0,
+            max_message_bits: 0,
+            adversary: name,
+            history: Vec::new(),
+        };
     }
     let (mut cell, mut a) = {
         let _setup = dyncode_obs::span!("runner.setup", seed = seed);
-        (
-            build_fast_cell(spec, inst, t).unwrap_or_else(|e| panic!("{e}")),
-            adv(),
-        )
+        let cell: Box<dyn FastCell> = if fast {
+            build_fast_cell(spec, inst, t).unwrap_or_else(|e| panic!("{e}"))
+        } else {
+            Box::new(ProtocolCell::new(spec.build(inst, t)))
+        };
+        (cell, adv())
     };
     let r = {
         let _run = dyncode_obs::span!("runner.run", seed = seed);
@@ -427,86 +331,41 @@ where
     r
 }
 
-/// [`sweep_seeds_spec`] through an explicit [`Kernel`]: one
-/// [`run_spec_kernel`] cell per seed.
-pub fn sweep_seeds_spec_kernel<FA>(
-    spec: &ProtocolSpec,
-    inst: &Instance,
-    t: usize,
-    seeds: &[u64],
-    max_rounds: usize,
-    adv: FA,
-    kernel: Kernel,
-) -> Vec<RunResult>
-where
-    FA: Fn() -> Box<dyn Adversary>,
-{
-    let config = SimConfig::with_max_rounds(max_rounds);
-    seeds
-        .iter()
-        .map(|&seed| run_spec_kernel(spec, inst, t, &adv, &config, seed, kernel))
-        .collect()
-}
-
-/// Runs a freshly built protocol once per seed against freshly built
-/// adversaries, asserting dissemination correctness on completion.
-///
-/// `build` constructs the protocol, `adv` the adversary (both per seed, so
-/// runs are independent). Delegates to [`run_one`] per cell; use
-/// `dyncode-engine` for the parallel equivalent.
-pub fn sweep_seeds<P, FB, FA>(
-    seeds: &[u64],
-    max_rounds: usize,
-    build: FB,
-    adv: FA,
-) -> Vec<RunResult>
-where
-    P: Protocol,
-    FB: Fn() -> P,
-    FA: Fn() -> Box<dyn Adversary>,
-{
-    let config = SimConfig::with_max_rounds(max_rounds);
-    seeds
-        .iter()
-        .map(|&seed| run_one(&build, &adv, &config, seed))
-        .collect()
-}
-
-/// [`sweep_seeds`] for a registry spec: one [`run_spec`] cell per seed.
-pub fn sweep_seeds_spec<FA>(
-    spec: &ProtocolSpec,
-    inst: &Instance,
-    t: usize,
-    seeds: &[u64],
-    max_rounds: usize,
-    adv: FA,
-) -> Vec<RunResult>
-where
-    FA: Fn() -> Box<dyn Adversary>,
-{
-    let config = SimConfig::with_max_rounds(max_rounds);
-    seeds
-        .iter()
-        .map(|&seed| run_spec(spec, inst, t, &adv, &config, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{Instance, Params, Placement};
     use crate::protocols::token_forwarding::TokenForwarding;
     use dyncode_dynet::adversaries::ShuffledPathAdversary;
+    use dyncode_dynet::simulator::run;
+
+    /// One `spec` cell per seed on `kernel` against the shuffled path.
+    fn sweep(
+        spec: &str,
+        inst: &Instance,
+        seeds: &[u64],
+        max_rounds: usize,
+        kernel: Kernel,
+    ) -> Vec<RunResult> {
+        let spec = ProtocolSpec::parse(spec).unwrap();
+        let adv = || Box::new(ShuffledPathAdversary) as Box<dyn Adversary>;
+        let config = SimConfig::with_max_rounds(max_rounds);
+        seeds
+            .iter()
+            .map(|&seed| run_spec_kernel(&spec, inst, 1, &adv, &config, seed, kernel))
+            .collect()
+    }
 
     #[test]
     fn sweep_and_summarize() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
-        let results = sweep_seeds(
+        let results = sweep(
+            "token-forwarding",
+            &inst,
             &[1, 2, 3],
             10_000,
-            || TokenForwarding::baseline(&inst),
-            || Box::new(ShuffledPathAdversary),
+            Kernel::Reference,
         );
         let s = summarize(&results);
         assert_eq!(s.runs, 3);
@@ -521,12 +380,7 @@ mod tests {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
         // A 1-round cap cannot complete.
-        let results = sweep_seeds(
-            &[1, 2],
-            1,
-            || TokenForwarding::baseline(&inst),
-            || Box::new(ShuffledPathAdversary),
-        );
+        let results = sweep("token-forwarding", &inst, &[1, 2], 1, Kernel::Reference);
         let s = summarize(&results);
         assert_eq!(s.failures, 2);
         assert!(s.mean_rounds.is_nan());
@@ -539,7 +393,7 @@ mod tests {
     }
 
     #[test]
-    fn run_spec_matches_run_one_and_handles_patch() {
+    fn reference_kernel_matches_typed_run_and_handles_patch() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
         let cfg = SimConfig::with_max_rounds(10_000).recording();
@@ -547,28 +401,34 @@ mod tests {
 
         // Spec path == concrete path, bit for bit.
         let spec = ProtocolSpec::parse("token-forwarding").unwrap();
-        let via_spec = run_spec(&spec, &inst, 1, &adv, &cfg, 7);
-        let via_type = run_one(&|| TokenForwarding::baseline(&inst), &adv, &cfg, 7);
+        let via_spec = run_spec_kernel(&spec, &inst, 1, &adv, &cfg, 7, Kernel::Reference);
+        let mut typed = TokenForwarding::baseline(&inst);
+        let via_type = run(&mut typed, &mut ShuffledPathAdversary, &cfg, 7);
         assert_eq!(via_spec, via_type);
 
         // The charged-rounds model completes and reports rounds > 0 with
-        // no per-message bit accounting.
+        // no per-message bit accounting, on the reference and auto
+        // kernels alike.
         let patch = ProtocolSpec::parse("patch-indexed").unwrap();
-        let r = run_spec(
-            &patch,
-            &inst,
-            4,
-            &adv,
-            &SimConfig::with_max_rounds(500_000),
-            3,
-        );
+        let cfg = SimConfig::with_max_rounds(500_000);
+        let r = run_spec_kernel(&patch, &inst, 4, &adv, &cfg, 3, Kernel::Reference);
         assert!(r.completed, "{r:?}");
         assert!(r.rounds > 0);
         assert_eq!(r.total_bits, 0);
         assert_eq!(r.adversary, "shuffled-path");
+        assert_eq!(
+            run_spec_kernel(&patch, &inst, 4, &adv, &cfg, 3, Kernel::Auto),
+            r
+        );
 
-        // And the spec sweep aggregates like the concrete sweep.
-        let results = sweep_seeds_spec(&spec, &inst, 1, &[1, 2, 3], 10_000, adv);
+        // And the spec sweep aggregates.
+        let results = sweep(
+            "token-forwarding",
+            &inst,
+            &[1, 2, 3],
+            10_000,
+            Kernel::Reference,
+        );
         let s = summarize(&results);
         assert_eq!(s.runs, 3);
         assert_eq!(s.failures, 0);
@@ -681,36 +541,37 @@ mod tests {
             let fast = run_spec_kernel(&spec, &inst, 1, &adv, &short, seed, Kernel::Fast);
             assert_eq!(slow, fast, "random-forward seed={seed}");
         }
-        // The kernel sweep equals the reference sweep, seed for seed.
-        let spec = ProtocolSpec::parse("field-broadcast(gf2)").unwrap();
-        let slow =
-            sweep_seeds_spec_kernel(&spec, &inst, 1, &[1, 2, 3], 20_000, adv, Kernel::Reference);
-        let fast = sweep_seeds_spec_kernel(&spec, &inst, 1, &[1, 2, 3], 20_000, adv, Kernel::Auto);
+        // The auto sweep equals the reference sweep, seed for seed.
+        let slow = sweep(
+            "field-broadcast(gf2)",
+            &inst,
+            &[1, 2, 3],
+            20_000,
+            Kernel::Reference,
+        );
+        let fast = sweep(
+            "field-broadcast(gf2)",
+            &inst,
+            &[1, 2, 3],
+            20_000,
+            Kernel::Auto,
+        );
         assert_eq!(slow, fast);
     }
 
     #[test]
-    fn run_one_honors_config_and_records_history() {
+    fn run_spec_kernel_honors_config_and_records_history() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
         let cfg = SimConfig::with_max_rounds(10_000).recording();
-        let r = run_one(
-            &|| TokenForwarding::baseline(&inst),
-            &|| Box::new(ShuffledPathAdversary) as Box<dyn Adversary>,
-            &cfg,
-            1,
-        );
+        let spec = ProtocolSpec::parse("token-forwarding").unwrap();
+        let adv = || Box::new(ShuffledPathAdversary) as Box<dyn Adversary>;
+        let r = run_spec_kernel(&spec, &inst, 1, &adv, &cfg, 1, Kernel::Reference);
         assert!(r.completed);
         assert_eq!(r.history.len(), r.rounds);
         // Same cell, same seed ⇒ same result (the engine's determinism
         // contract rests on this).
-        let r2 = run_one(
-            &|| TokenForwarding::baseline(&inst),
-            &|| Box::new(ShuffledPathAdversary) as Box<dyn Adversary>,
-            &cfg,
-            1,
-        );
-        assert_eq!(r.rounds, r2.rounds);
-        assert_eq!(r.total_bits, r2.total_bits);
+        let r2 = run_spec_kernel(&spec, &inst, 1, &adv, &cfg, 1, Kernel::Reference);
+        assert_eq!(r, r2);
     }
 }

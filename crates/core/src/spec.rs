@@ -137,7 +137,7 @@ pub enum ProtocolSpec {
     Centralized,
     /// `patch-indexed` — the §8.3 T-stable patch dissemination. A
     /// charged-rounds model rather than a per-message simulation: it runs
-    /// through [`crate::runner::run_spec`], not [`ProtocolSpec::build`].
+    /// through [`crate::runner::run_spec_kernel`], not [`ProtocolSpec::build`].
     PatchIndexed,
     /// `quorum-watermark(f=F[,rounds=R])` — latest-round-per-peer
     /// consensus gossip; a node terminates when its monotone `max_round⁺`
@@ -483,9 +483,22 @@ impl ProtocolSpec {
         }
     }
 
+    /// Does this spec need reliable delivery? The flood-staged families
+    /// (`greedy-forward`, `priority-forward`, `naive-coded`) check phase
+    /// invariants that hold only when every broadcast reaches every
+    /// neighbor, so they can panic mid-run under radio or lossy channels.
+    pub fn requires_reliable_delivery(&self) -> bool {
+        matches!(
+            self,
+            ProtocolSpec::GreedyForward { .. }
+                | ProtocolSpec::PriorityForward { .. }
+                | ProtocolSpec::NaiveCoded
+        )
+    }
+
     /// Does this spec run on the round-synchronous simulator? The one
     /// exception is `patch-indexed`, whose §8 charged-rounds model is
-    /// driven per stability window (see [`crate::runner::run_spec`]).
+    /// driven per stability window (see [`crate::runner::run_spec_kernel`]).
     pub fn is_simulated(&self) -> bool {
         !matches!(self, ProtocolSpec::PatchIndexed)
     }
@@ -538,7 +551,7 @@ impl ProtocolSpec {
     ///
     /// # Panics
     /// Panics for `patch-indexed` (not a simulator protocol — route runs
-    /// through [`crate::runner::run_spec`], which handles it).
+    /// through [`crate::runner::run_spec_kernel`], which handles it).
     pub fn build(&self, inst: &Instance, t: usize) -> Box<dyn ErasedProtocol> {
         match self {
             ProtocolSpec::TokenForwarding => Box::new(Erased::new(TokenForwarding::baseline(inst))),
@@ -588,7 +601,9 @@ impl ProtocolSpec {
             },
             ProtocolSpec::Centralized => Box::new(Erased::new(Centralized::new(inst))),
             ProtocolSpec::PatchIndexed => {
-                panic!("patch-indexed is a charged-rounds model; run it via runner::run_spec")
+                panic!(
+                    "patch-indexed is a charged-rounds model; run it via runner::run_spec_kernel"
+                )
             }
             ProtocolSpec::QuorumWatermark { .. } | ProtocolSpec::QuorumDecide { .. } => {
                 let cfg = self.quorum_config().expect("quorum spec has a config");
@@ -664,7 +679,7 @@ mod tests {
     use super::*;
     use crate::params::{Params, Placement};
     use dyncode_dynet::adversaries::ShuffledPathAdversary;
-    use dyncode_dynet::simulator::{run_erased, SimConfig};
+    use dyncode_dynet::simulator::{run, SimConfig};
 
     #[test]
     fn canonical_strings_round_trip() {
@@ -809,7 +824,7 @@ mod tests {
             assert!(spec.is_simulated());
             let mut proto = spec.build(&inst, 1);
             let mut adv = ShuffledPathAdversary;
-            let r = run_erased(&mut proto, &mut adv, &SimConfig::with_max_rounds(20_000), 5);
+            let r = run(&mut proto, &mut adv, &SimConfig::with_max_rounds(20_000), 5);
             assert!(r.completed, "{spec} failed to complete");
         }
         assert!(!ProtocolSpec::PatchIndexed.is_simulated());

@@ -35,8 +35,9 @@
 //! per node in ascending node order (message-holders draw the `p` coin,
 //! silent nodes draw the `spont` coin only when `spont > 0`), lossy draws
 //! one coin per *speaking* neighbor in receiver-major ascending order.
-//! Both the reference simulator and the fast kernel call the same planner
-//! over the same topology view, so fast == reference stays bit-exact.
+//! The one round loop (`dyncode_dynet::simulator::run_fast`) calls the
+//! planner over the same topology view whichever kernel built the cell,
+//! so fast == reference stays bit-exact.
 //!
 //! Per-round accounting lands in `dyncode-obs` counters
 //! `delivery.{sent,delivered,collided,dropped}` (directed pairs, so

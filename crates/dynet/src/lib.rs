@@ -20,7 +20,9 @@
 //!   and a suite of hard concrete adversaries.
 //! * [`simulator`] — the round engine with per-message **bit accounting**
 //!   (the paper's central bookkeeping: coding headers must fit in the
-//!   message budget b).
+//!   message budget b): one round loop over the batched `FastCell`
+//!   surface, the [`csr`] topology snapshot it delivers along, and the
+//!   [`phase`] timing behind its `kernel.*` spans.
 //! * [`mis`] — Luby/greedy maximal independent sets and the Section 8.1
 //!   patch decomposition.
 //! * [`trace`] — record/replay of adversarial schedules.
@@ -66,9 +68,11 @@
 pub mod adversaries;
 pub mod adversary;
 pub mod bitset;
+pub mod csr;
 pub mod generators;
 pub mod graph;
 pub mod mis;
+pub mod phase;
 pub mod simulator;
 pub mod trace;
 
@@ -76,7 +80,8 @@ pub use adversary::{Adversary, KnowledgeView, TStable};
 pub use bitset::BitSet;
 pub use graph::{Graph, NodeId};
 pub use simulator::{
-    run, run_erased, DeliverySpec, Erased, ErasedProtocol, Protocol, RunResult, SimConfig,
+    run, run_fast, DeliverySpec, Erased, ErasedProtocol, FastCell, Protocol, ProtocolCell,
+    RunResult, SimConfig,
 };
 
 /// Splits `s` on commas at parenthesis depth 0 — the shared list rule of

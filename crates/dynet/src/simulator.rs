@@ -14,9 +14,18 @@
 //! per-message budget, which is how the paper's "messages of size O(b)"
 //! accounting is kept honest (Section 3 stresses that the coding-header
 //! overhead must be paid inside the message).
+//!
+//! There is exactly one round loop, [`run_fast`], over the batched
+//! [`FastCell`] surface. Per-node [`Protocol`]s enter it through the
+//! [`ProtocolCell`] adapter ([`run`] is that wrapper), erased registry
+//! protocols through the same adapter via the blanket `Protocol` impl
+//! for `Box<dyn ErasedProtocol>`, and the arena-backed cells of
+//! `dyncode-kernel` implement [`FastCell`] directly.
 
 use crate::adversary::{Adversary, KnowledgeView};
+pub use crate::csr::CsrTopology;
 use crate::graph::NodeId;
+use crate::phase;
 pub use dyncode_delivery::{
     delivery_rng, registry as delivery_registry, DeliveryModel, DeliverySpec,
 };
@@ -24,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 /// A protocol running on the dynamic network: per-node message generation
 /// and delivery plus introspection for termination and adversaries.
@@ -76,7 +86,7 @@ pub trait Protocol {
 /// delivery step performs are refcount bumps; [`Erased`] hands the typed
 /// message back to the inner protocol on delivery. The bit count is the
 /// inner protocol's own `message_bits` answer — erasure never re-prices a
-/// message, which is one half of the [`run_erased`] equivalence contract.
+/// message, which is one half of the erased == monomorphized contract.
 #[derive(Clone)]
 pub struct ErasedMessage {
     bits: u64,
@@ -103,9 +113,10 @@ impl std::fmt::Debug for ErasedMessage {
 /// `Box<dyn ErasedProtocol>` call surface (the campaign engine's
 /// `protocol = …` grid axis).
 ///
-/// Obtain one by wrapping any concrete protocol in [`Erased`]; run it
-/// with [`run_erased`], which reproduces the monomorphized [`run`]'s
-/// `RunResult` bit for bit (see the `Erased` docs for why).
+/// Obtain one by wrapping any concrete protocol in [`Erased`]; a
+/// `Box<dyn ErasedProtocol>` is itself a [`Protocol`], so [`run`] runs it
+/// and reproduces the monomorphized run's `RunResult` bit for bit (see
+/// the `Erased` docs for why).
 pub trait ErasedProtocol {
     /// Number of nodes n.
     fn num_nodes(&self) -> usize;
@@ -244,9 +255,9 @@ where
 }
 
 /// A boxed erased protocol is itself a [`Protocol`] (over
-/// [`ErasedMessage`]), which is what makes [`run_erased`] a thin wrapper
-/// around [`run`] rather than a second simulator: there is exactly one
-/// round loop, so the two paths cannot drift apart.
+/// [`ErasedMessage`]), so erased runs go through [`run`] and the same
+/// [`ProtocolCell`] adapter as typed ones: one round loop, so the two
+/// paths cannot drift apart.
 impl Protocol for Box<dyn ErasedProtocol + '_> {
     type Message = ErasedMessage;
 
@@ -283,17 +294,42 @@ impl Protocol for Box<dyn ErasedProtocol + '_> {
     }
 }
 
-/// [`run`] for a dyn-dispatched protocol: identical round structure, bit
-/// accounting and determinism contract (it *is* [`run`], applied to the
-/// blanket `Protocol` impl for `Box<dyn ErasedProtocol>`), so the
-/// returned `RunResult` is byte-identical to the monomorphized path's.
-pub fn run_erased(
-    protocol: &mut Box<dyn ErasedProtocol + '_>,
-    adversary: &mut dyn Adversary,
-    config: &SimConfig,
-    seed: u64,
-) -> RunResult {
-    run(protocol, adversary, config, seed)
+/// A mutable borrow of a protocol is a protocol, so [`run`] can lend the
+/// caller's protocol to a [`ProtocolCell`] and hand it back afterwards.
+impl<P: Protocol> Protocol for &mut P {
+    type Message = P::Message;
+
+    fn num_nodes(&self) -> usize {
+        (**self).num_nodes()
+    }
+
+    fn num_tokens(&self) -> usize {
+        (**self).num_tokens()
+    }
+
+    fn compose(&mut self, node: NodeId, round: usize, rng: &mut StdRng) -> Option<P::Message> {
+        (**self).compose(node, round, rng)
+    }
+
+    fn message_bits(&self, msg: &P::Message) -> u64 {
+        (**self).message_bits(msg)
+    }
+
+    fn deliver(&mut self, node: NodeId, inbox: &[P::Message], round: usize, rng: &mut StdRng) {
+        (**self).deliver(node, inbox, round, rng);
+    }
+
+    fn node_done(&self, node: NodeId) -> bool {
+        (**self).node_done(node)
+    }
+
+    fn view(&self) -> KnowledgeView {
+        (**self).view()
+    }
+
+    fn round_end(&mut self, round: usize, rng: &mut StdRng) {
+        (**self).round_end(round, rng);
+    }
 }
 
 /// Simulator configuration.
@@ -394,8 +430,164 @@ pub fn adversary_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ ADVERSARY_STREAM)
 }
 
-/// Runs `protocol` against `adversary` from `seed` until every node is
-/// done or `config.max_rounds` elapse.
+/// One protocol running in the round loop, batched per round instead of
+/// per node.
+///
+/// [`ProtocolCell`] adapts any per-node [`Protocol`]; the arena-backed
+/// cells of `dyncode-kernel` implement the surface directly, with one
+/// `compose_all` and one `deliver_all` per round over internal arenas so
+/// the loop does no per-node allocation. Implementations must preserve
+/// the per-node semantics: compose per node in ascending node order
+/// (drawing exactly the coins the per-node protocol draws), deliver per
+/// node from ascending neighbors, and report the same views and
+/// statistics.
+pub trait FastCell {
+    /// Number of nodes n.
+    fn num_nodes(&self) -> usize;
+
+    /// Composes every node's broadcast for `round` into the message
+    /// arena, enforcing `bit_limit` per message when set. Returns
+    /// `(bits broadcast this round, largest message this round)`.
+    fn compose_all(&mut self, round: usize, rng: &mut StdRng, bit_limit: Option<u64>)
+        -> (u64, u64);
+
+    /// Delivers the composed messages along `topo` (per node, ascending
+    /// neighbor order — the reference inbox order).
+    fn deliver_all(&mut self, topo: &CsrTopology, round: usize, rng: &mut StdRng);
+
+    /// Did `node` compose a message this round? Valid between
+    /// `compose_all` and `deliver_all`; must equal
+    /// `compose(node) == Some(_)` in the per-node protocol, because the
+    /// delivery layer draws its radio/erasure coins per *speaking* node —
+    /// a mismatch would desynchronize the private delivery RNG stream.
+    fn spoke(&self, node: usize) -> bool;
+
+    /// Global end-of-round hook (phase counters); defaults to a no-op.
+    fn round_end(&mut self, _round: usize, _rng: &mut StdRng) {}
+
+    /// Have all nodes locally terminated?
+    fn all_done(&self) -> bool;
+
+    /// The adversary/statistics view — must equal the per-node
+    /// protocol's `view()` element for element (adaptive adversaries
+    /// branch on it).
+    fn view(&self) -> KnowledgeView;
+
+    /// `(min_dim, max_dim, total_tokens, done)` of the current state, for
+    /// a history row.
+    fn history_stats(&self) -> (usize, usize, usize, usize);
+
+    /// Does every node know every token (the dissemination
+    /// postcondition asserted after a completed run)?
+    fn fully_disseminated(&self) -> bool;
+}
+
+/// Any per-node [`Protocol`] as a [`FastCell`]: one message slot per
+/// node and one reused inbox buffer.
+///
+/// Every protocol call is made with the same arguments in the same
+/// order as the model's round (compose per node ascending; deliver for
+/// **every** node from ascending neighbors — some protocols advance
+/// state on an empty inbox; then the round-end hook), and the adapter
+/// itself draws no coins.
+pub struct ProtocolCell<P: Protocol> {
+    protocol: P,
+    /// This round's broadcasts, indexed by node.
+    msgs: Vec<Option<P::Message>>,
+    /// Reused inbox buffer.
+    inbox: Vec<P::Message>,
+}
+
+impl<P: Protocol> ProtocolCell<P> {
+    /// Wraps a fully built and seeded protocol.
+    pub fn new(protocol: P) -> Self {
+        let n = protocol.num_nodes();
+        ProtocolCell {
+            protocol,
+            msgs: vec![None; n],
+            inbox: Vec::new(),
+        }
+    }
+}
+
+impl<P: Protocol> FastCell for ProtocolCell<P> {
+    fn num_nodes(&self) -> usize {
+        self.msgs.len()
+    }
+
+    fn compose_all(
+        &mut self,
+        round: usize,
+        rng: &mut StdRng,
+        bit_limit: Option<u64>,
+    ) -> (u64, u64) {
+        let mut round_bits = 0u64;
+        let mut round_max = 0u64;
+        for u in 0..self.msgs.len() {
+            let msg = self.protocol.compose(u, round, rng);
+            if let Some(m) = &msg {
+                let bits = self.protocol.message_bits(m);
+                if let Some(limit) = bit_limit {
+                    assert!(
+                        bits <= limit,
+                        "node {u} exceeded the message budget at round {round}: \
+                         {bits} > {limit} bits"
+                    );
+                }
+                round_bits += bits;
+                round_max = round_max.max(bits);
+            }
+            self.msgs[u] = msg;
+        }
+        (round_bits, round_max)
+    }
+
+    fn deliver_all(&mut self, topo: &CsrTopology, round: usize, rng: &mut StdRng) {
+        for u in 0..self.msgs.len() {
+            self.inbox.clear();
+            self.inbox.extend(
+                topo.neighbors(u)
+                    .iter()
+                    .filter_map(|&v| self.msgs[v as usize].clone()),
+            );
+            self.protocol.deliver(u, &self.inbox, round, rng);
+        }
+    }
+
+    fn spoke(&self, node: usize) -> bool {
+        self.msgs[node].is_some()
+    }
+
+    fn round_end(&mut self, round: usize, rng: &mut StdRng) {
+        self.protocol.round_end(round, rng);
+    }
+
+    fn all_done(&self) -> bool {
+        (0..self.msgs.len()).all(|u| self.protocol.node_done(u))
+    }
+
+    fn view(&self) -> KnowledgeView {
+        self.protocol.view()
+    }
+
+    fn history_stats(&self) -> (usize, usize, usize, usize) {
+        let v = self.protocol.view();
+        (
+            v.dims.iter().copied().min().unwrap_or(0),
+            v.dims.iter().copied().max().unwrap_or(0),
+            v.tokens.iter().map(|t| t.len()).sum(),
+            v.done.iter().filter(|&&d| d).count(),
+        )
+    }
+
+    fn fully_disseminated(&self) -> bool {
+        let k = self.protocol.num_tokens();
+        self.protocol.view().tokens.iter().all(|t| t.len() == k)
+    }
+}
+
+/// Runs `cell` against `adversary` from `seed` until every node is done
+/// or `config.max_rounds` elapse. This is the round loop.
 ///
 /// The adversary draws from its **own** RNG stream (derived from `seed`
 /// but domain-separated from the protocol's): topologies and protocol
@@ -403,34 +595,46 @@ pub fn adversary_rng(seed: u64) -> StdRng {
 /// recorded schedules exactly replayable — substituting a replay
 /// adversary (which draws nothing) for the original stochastic one leaves
 /// the protocol's random stream untouched, so the whole `RunResult` is
-/// reproduced bit-for-bit.
+/// reproduced bit-for-bit. Non-reliable delivery draws from a third,
+/// private stream ([`delivery_rng`]).
+///
+/// When telemetry is enabled the run's phase totals are emitted as
+/// `kernel.csr`, `kernel.compose`, `kernel.gather` and `kernel.eliminate`
+/// span events (see [`crate::phase`]).
 ///
 /// # Panics
-/// Panics if the adversary produces a disconnected or wrongly-sized graph,
-/// or (in strict mode) if a message exceeds the bit limit.
-pub fn run<P: Protocol>(
-    protocol: &mut P,
+/// Panics if the adversary produces a disconnected or wrongly-sized
+/// graph, or (in strict mode) if a message exceeds the bit limit.
+pub fn run_fast(
+    cell: &mut dyn FastCell,
     adversary: &mut dyn Adversary,
     config: &SimConfig,
     seed: u64,
 ) -> RunResult {
-    let n = protocol.num_nodes();
+    let n = cell.num_nodes();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut adv_rng = adversary_rng(seed);
-    // `None` for reliable delivery: the legacy broadcast path below runs
-    // unchanged and no delivery coins are ever drawn.
+    let mut csr = CsrTopology::new(n);
+    // Non-reliable delivery: the planner draws its coins over the
+    // committed topology, and the resulting directed plan is
+    // materialized into its own CSR snapshot so the adversary snapshot's
+    // delta reuse is untouched. Reliable delivery draws no coins.
     let mut delivery = config.delivery.model(seed);
+    let mut masked = delivery.as_ref().map(|_| CsrTopology::new(n));
+    let mut speaks: Vec<bool> = Vec::new();
     let mut total_bits = 0u64;
     let mut max_message_bits = 0u64;
     let mut history = Vec::new();
 
-    let all_done = |p: &P| (0..n).all(|u| p.node_done(u));
-
+    phase::elim_reset();
+    let (mut t_view, mut t_compose, mut t_deliver) =
+        (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     let mut round = 0usize;
-    let mut completed = all_done(protocol);
+    let mut completed = cell.all_done();
     while !completed && round < config.max_rounds {
+        let t0 = Instant::now();
         // 1. Adversary commits a topology from the current state.
-        let view = protocol.view();
+        let view = cell.view();
         let graph = adversary.topology(round, &view, &mut adv_rng);
         assert_eq!(
             graph.num_nodes(),
@@ -443,76 +647,69 @@ pub fn run<P: Protocol>(
             "adversary {} produced a disconnected graph at round {round}",
             adversary.name()
         );
+        csr.load(&graph);
 
+        let t1 = Instant::now();
         // 2. Nodes speak, neighbor-blind.
-        let mut round_bits = 0u64;
-        let messages: Vec<Option<P::Message>> = (0..n)
-            .map(|u| {
-                let msg = protocol.compose(u, round, &mut rng);
-                if let Some(m) = &msg {
-                    let bits = protocol.message_bits(m);
-                    if let Some(limit) = config.bit_limit {
-                        assert!(
-                            bits <= limit,
-                            "node {u} exceeded the message budget at round {round}: \
-                             {bits} > {limit} bits"
-                        );
-                    }
-                    round_bits += bits;
-                    max_message_bits = max_message_bits.max(bits);
-                }
-                msg
-            })
-            .collect();
+        let (round_bits, round_max) = cell.compose_all(round, &mut rng, config.bit_limit);
         total_bits += round_bits;
+        max_message_bits = max_message_bits.max(round_max);
 
-        // 3. Anonymous broadcast delivery — reliable (the legacy path)
-        // or the configured delivery model's per-round plan.
-        match &mut delivery {
-            None => {
-                for u in 0..n {
-                    let inbox: Vec<P::Message> = graph
-                        .neighbors(u)
-                        .iter()
-                        .filter_map(|&v| messages[v].clone())
-                        .collect();
-                    protocol.deliver(u, &inbox, round, &mut rng);
-                }
+        let t2 = Instant::now();
+        // 3. Anonymous broadcast delivery: along the committed topology,
+        // or along the delivery model's per-round masked plan.
+        match (&mut delivery, &mut masked) {
+            (Some(model), Some(plan)) => {
+                speaks.clear();
+                speaks.extend((0..n).map(|u| cell.spoke(u)));
+                model.plan_round(&speaks, &csr);
+                plan.load_plan(model.offsets(), model.senders());
+                cell.deliver_all(plan, round, &mut rng);
             }
-            Some(model) => {
-                let speaks: Vec<bool> = messages.iter().map(Option::is_some).collect();
-                model.plan_round(&speaks, &graph);
-                for u in 0..n {
-                    let inbox: Vec<P::Message> = model
-                        .hears(u)
-                        .iter()
-                        .map(|&v| {
-                            messages[v as usize]
-                                .clone()
-                                .expect("delivery plan only routes composed messages")
-                        })
-                        .collect();
-                    protocol.deliver(u, &inbox, round, &mut rng);
-                }
-            }
+            _ => cell.deliver_all(&csr, round, &mut rng),
         }
-        protocol.round_end(round, &mut rng);
+        cell.round_end(round, &mut rng);
+        let t3 = Instant::now();
+        t_view += t1 - t0;
+        t_compose += t2 - t1;
+        t_deliver += t3 - t2;
 
         if config.record_history {
-            let v = protocol.view();
+            let (min_dim, max_dim, total_tokens, done) = cell.history_stats();
             history.push(RoundRecord {
                 round,
                 edges: graph.num_edges(),
                 bits: round_bits,
-                min_dim: v.dims.iter().copied().min().unwrap_or(0),
-                max_dim: v.dims.iter().copied().max().unwrap_or(0),
-                total_tokens: v.tokens.iter().map(|t| t.len()).sum(),
-                done: v.done.iter().filter(|&&d| d).count(),
+                min_dim,
+                max_dim,
+                total_tokens,
+                done,
             });
         }
 
         round += 1;
-        completed = all_done(protocol);
+        completed = cell.all_done();
+    }
+    // Per-run phase totals as aggregate span events. `kernel.eliminate`
+    // is what the cells accumulated around their `insert` calls;
+    // `kernel.gather` is the rest of delivery (copy/unpack + inbox walk).
+    let elim_ns = phase::elim_take();
+    if dyncode_obs::enabled() {
+        let fields = || {
+            vec![
+                ("n".to_string(), dyncode_obs::Value::from(n)),
+                ("rounds".to_string(), dyncode_obs::Value::from(round)),
+            ]
+        };
+        let deliver_ns = t_deliver.as_nanos() as u64;
+        for (name, ns) in [
+            ("kernel.csr", t_view.as_nanos() as u64),
+            ("kernel.compose", t_compose.as_nanos() as u64),
+            ("kernel.gather", deliver_ns.saturating_sub(elim_ns)),
+            ("kernel.eliminate", elim_ns),
+        ] {
+            dyncode_obs::emit(&dyncode_obs::Event::span_total(name, ns, fields()));
+        }
     }
 
     RunResult {
@@ -523,6 +720,22 @@ pub fn run<P: Protocol>(
         adversary: adversary.name(),
         history,
     }
+}
+
+/// Runs `protocol` against `adversary` from `seed` until every node is
+/// done or `config.max_rounds` elapse: [`run_fast`] over a
+/// [`ProtocolCell`] that borrows `protocol`, so the caller can inspect
+/// its final state afterwards.
+///
+/// # Panics
+/// As [`run_fast`].
+pub fn run<P: Protocol>(
+    protocol: &mut P,
+    adversary: &mut dyn Adversary,
+    config: &SimConfig,
+    seed: u64,
+) -> RunResult {
+    run_fast(&mut ProtocolCell::new(protocol), adversary, config, seed)
 }
 
 #[cfg(test)]
@@ -705,7 +918,7 @@ mod tests {
 
                 let mut e: Box<dyn ErasedProtocol> = Box::new(Erased::new(Flood::new(n)));
                 let mut adv = RandomConnectedAdversary::new(1);
-                let erased = run_erased(&mut e, &mut adv, &cfg, seed);
+                let erased = run(&mut e, &mut adv, &cfg, seed);
                 assert_eq!(mono, erased, "n={n} seed={seed}");
             }
         }

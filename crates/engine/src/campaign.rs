@@ -658,6 +658,19 @@ impl CampaignBuilder {
                 }
             }
         }
+        // The flood-staged families can panic mid-run off reliable delivery.
+        for spec in c
+            .protocols
+            .iter()
+            .filter(|s| s.requires_reliable_delivery())
+        {
+            if let Some(d) = c.deliveries.iter().find(|d| !d.is_default()) {
+                return Err(format!(
+                    "protocol {spec} cannot run under delivery = {d}: its flood stages \
+                     assume reliable delivery"
+                ));
+            }
+        }
         // Instance-size constraints (the quorum families need n ≥ 5f+1)
         // must hold at every grid point, quick profile included.
         for spec in &c.protocols {
@@ -759,7 +772,7 @@ impl CellSpec {
 
     /// Runs this cell once from `seed`. Deterministic in `(self, seed)`;
     /// completion is asserted for dissemination exactness via
-    /// `dyncode_core::runner::run_one`.
+    /// `dyncode_core::runner::run_spec_kernel`.
     pub fn run(&self, seed: u64) -> RunResult {
         self.run_on(&self.instance(), seed)
     }
@@ -1113,6 +1126,35 @@ mod tests {
         // The same grid runs fine under auto (per-cell fallback).
         let ok = text.replace("kernel = fast", "kernel = auto");
         assert!(Campaign::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn flood_staged_protocols_are_rejected_off_reliable_delivery() {
+        let text = "
+            id = lossy-greedy
+            protocol = indexed-broadcast, greedy-forward
+            adversaries = shuffled-path
+            delivery = reliable, radio(p=0.3)
+            n = 12
+            seeds = 7
+        ";
+        let err = Campaign::parse(text).unwrap_err();
+        assert!(
+            err.contains("greedy-forward") && err.contains("radio(p=0.3)"),
+            "{err}"
+        );
+        for spec in ["priority-forward", "naive-coded"] {
+            let t = text.replace("greedy-forward", spec);
+            let t = t.replace("radio(p=0.3)", "lossy(eps=0.1)");
+            let err = Campaign::parse(&t).unwrap_err();
+            assert!(
+                err.contains(spec) && err.contains("lossy(eps=0.1)"),
+                "{err}"
+            );
+        }
+        // Reliable-only grids and the other families stay accepted.
+        assert!(Campaign::parse(&text.replace(", radio(p=0.3)", "")).is_ok());
+        assert!(Campaign::parse(&text.replace("greedy-forward", "random-forward")).is_ok());
     }
 
     #[test]

@@ -28,10 +28,9 @@
 //! sequence of `vector::random_combination` — so runs are bit-identical
 //! to the reference `FieldBroadcast<F>` under the kernel contract.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::simulator::{CsrTopology, FastCell};
 use dyncode_gf::{pack, vector, Field};
 use rand::rngs::StdRng;
 
@@ -273,7 +272,7 @@ impl<F: Field> FastCell for DenseCell<F> {
                 );
             }
         }
-        let timing = crate::phase::active();
+        let timing = dyncode_obs::enabled();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
             // Saturation shortcut: at rank k the node holds the full
@@ -290,7 +289,7 @@ impl<F: Field> FastCell for DenseCell<F> {
                     if timing {
                         let t = std::time::Instant::now();
                         self.insert(u, &mut scratch);
-                        crate::phase::elim_add(t.elapsed().as_nanos() as u64);
+                        dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
                     } else {
                         self.insert(u, &mut scratch);
                     }

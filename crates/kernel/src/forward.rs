@@ -11,10 +11,9 @@
 //! of the reference protocol, which draws no randomness, so equivalence
 //! is purely structural.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::simulator::{CsrTopology, FastCell};
 use rand::rngs::StdRng;
 
 /// The arena-backed forwarding state for all n nodes.

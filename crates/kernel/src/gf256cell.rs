@@ -50,10 +50,9 @@
 //! `vector::random_combination`. Runs are bit-identical to the reference
 //! `FieldBroadcast<Gf256>` under the kernel contract.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::simulator::{CsrTopology, FastCell};
 use dyncode_gf::{Field, Gf256};
 use rand::rngs::StdRng;
 
@@ -555,7 +554,7 @@ impl FastCell for Gf256Cell {
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
         let rw = self.rw;
-        let timing = crate::phase::active();
+        let timing = dyncode_obs::enabled();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
             // Saturation shortcut: at rank k the node holds the full
@@ -572,7 +571,7 @@ impl FastCell for Gf256Cell {
                     if timing {
                         let t = std::time::Instant::now();
                         self.insert(u, &mut scratch);
-                        crate::phase::elim_add(t.elapsed().as_nanos() as u64);
+                        dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
                     } else {
                         self.insert(u, &mut scratch);
                     }

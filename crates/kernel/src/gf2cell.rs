@@ -20,10 +20,9 @@
 //! the reference works element-wise on `Vec<Gf2>` (one byte per
 //! coordinate) and clones every packet on receive.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::simulator::{CsrTopology, FastCell};
 use dyncode_gf::bits::{limb_get, limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
 use dyncode_gf::Gf2Vec;
 use rand::rngs::StdRng;
@@ -295,7 +294,7 @@ impl FastCell for Gf2Cell {
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
         let wpr = self.wpr;
-        let timing = crate::phase::active();
+        let timing = dyncode_obs::enabled();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
             // Saturation shortcut: every packet lies in the span of the k
@@ -314,7 +313,7 @@ impl FastCell for Gf2Cell {
                     if timing {
                         let t = std::time::Instant::now();
                         self.insert(u, &mut scratch);
-                        crate::phase::elim_add(t.elapsed().as_nanos() as u64);
+                        dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
                     } else {
                         self.insert(u, &mut scratch);
                     }

@@ -1,19 +1,18 @@
 //! # dyncode-kernel
 //!
-//! The arena-backed fast-path execution backend for the dominant protocol
-//! families, sitting *below* `dyncode-core` in the crate graph: it knows
-//! nothing about `ProtocolSpec`s or `Instance`s — `core::runner` builds a
+//! The arena-backed fast cells for the dominant protocol families,
+//! sitting *below* `dyncode-core` in the crate graph: it knows nothing
+//! about `ProtocolSpec`s or `Instance`s — `core::runner` builds a
 //! [`FastCell`] from a spec and hands it to [`run_fast`].
 //!
-//! The reference simulator (`dyncode_dynet::simulator::run`) is
-//! allocation-bound at large n: a fresh `Vec<Option<Message>>` per round,
-//! a payload clone per neighbor, and a per-node inbox `Vec` per round.
-//! This crate replaces those with six reusable structures:
+//! The round loop itself ([`run_fast`], the [`FastCell`] surface and the
+//! [`CsrTopology`] snapshot) lives in `dyncode_dynet::simulator` and is
+//! re-exported here. Per-node protocols run in it through
+//! `dyncode_dynet::simulator::ProtocolCell`, which keeps one message slot
+//! per node and reuses one inbox buffer. The cells below replace the
+//! per-node state machines themselves where elimination or message
+//! copying dominates:
 //!
-//! * [`CsrTopology`] — a flat offsets/targets adjacency snapshot, rebuilt
-//!   from the adversary's edge deltas (the `dyncode_dynet::trace` flip
-//!   machinery): a round whose edge set did not change — every round
-//!   inside a T-stable window — costs one O(m) diff walk and no rebuild.
 //! * [`Gf2Cell`] — per-node GF(2) RLNC state as one word-packed row
 //!   arena, with incremental Gaussian elimination running directly on
 //!   `u64` limb slices (`dyncode_gf::bits::limb_xor` and friends) instead
@@ -30,40 +29,32 @@
 //! * [`ForwardCell`] — the knowledge-based forwarding schedules with a
 //!   flat per-round message arena instead of per-node `Vec<usize>`
 //!   messages and inbox clones.
-//! * [`ErasedCell`] — any erased registry protocol on the fast loop's
-//!   round infrastructure, closing the eligibility table over the
-//!   stage-machine families (greedy/priority/random forwarding,
-//!   `naive-coded`, `centralized`).
+//! * [`QuorumCell`] — the quorum watermark protocols as packed per-peer
+//!   round tables.
 //!
-//! **Equivalence contract.** For every eligible cell, [`run_fast`]
-//! produces a `RunResult` bit-identical to the reference simulator's —
-//! rounds, bit accounting, adversary schedule, and per-round history.
-//! This holds because the fast loop replays the reference loop's event
-//! order exactly: the adversary sees the same
+//! **Equivalence contract.** For every cell, [`run_fast`] produces a
+//! `RunResult` bit-identical to the reference protocol's run through
+//! `ProtocolCell` — rounds, bit accounting, adversary schedule, and
+//! per-round history. This holds because each cell replays the
+//! reference protocol's event order exactly: the adversary sees the same
 //! [`KnowledgeView`](dyncode_dynet::adversary::KnowledgeView) each
-//! round, protocol coins are
-//! drawn in the same order (one `bool` per basis row per compose for the
-//! coding cells, none for forwarding), and deliveries apply per node in
-//! ascending neighbor order. `tests/kernel_equivalence.rs` locks the
-//! contract across the eligible-spec × adversary × seed matrix.
+//! round, protocol coins are drawn in the same order (one `bool` per
+//! basis row per compose for the coding cells, none for forwarding), and
+//! deliveries apply per node in ascending neighbor order.
+//! `tests/kernel_equivalence.rs` locks the contract across the
+//! eligible-spec × adversary × seed matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cell;
-pub mod csr;
 pub mod densecell;
-pub mod erased;
 pub mod forward;
 pub mod gf256cell;
 pub mod gf2cell;
-pub mod phase;
 pub mod quorumcell;
 
-pub use cell::{run_fast, FastCell};
-pub use csr::CsrTopology;
 pub use densecell::DenseCell;
-pub use erased::ErasedCell;
+pub use dyncode_dynet::simulator::{run_fast, CsrTopology, FastCell};
 pub use forward::ForwardCell;
 pub use gf256cell::Gf256Cell;
 pub use gf2cell::{Gf2Cell, Gf2ViewMode};
@@ -76,13 +67,14 @@ use std::fmt;
 /// and the bench CLI's `--kernel` flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernel {
-    /// The reference simulator (`dyncode_dynet::simulator::run`), for
-    /// every spec. The default: committed baselines are reference runs.
+    /// The reference per-node state machines, run in the one round loop
+    /// through `ProtocolCell`, for every spec. The default: committed
+    /// baselines are reference runs.
     #[default]
     Reference,
-    /// The arena-backed fast path. Rejected (an error naming the
-    /// eligible families) on a spec outside them — use [`Kernel::Auto`]
-    /// to fall back instead.
+    /// The fast cells (the dedicated arena-backed cells where a family
+    /// has one). Rejected (an error naming the eligible families) on a
+    /// spec outside them — use [`Kernel::Auto`] to fall back instead.
     Fast,
     /// Fast for eligible specs, Reference otherwise.
     Auto,

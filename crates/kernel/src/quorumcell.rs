@@ -12,10 +12,9 @@
 //! reference is structural: both compute the identical deterministic
 //! function of the delivered topology sequence.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::simulator::{CsrTopology, FastCell};
 use dyncode_quorum::{advance_own_round, quorum_metrics, QuorumConfig, Round};
 use rand::rngs::StdRng;
 
@@ -162,9 +161,9 @@ impl FastCell for QuorumCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::run_fast;
     use dyncode_dynet::adversaries::ShuffledPathAdversary;
     use dyncode_dynet::simulator::run;
+    use dyncode_dynet::simulator::run_fast;
     use dyncode_dynet::simulator::SimConfig;
     use dyncode_quorum::{QuorumGoal, QuorumProtocol};
 

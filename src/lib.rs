@@ -13,7 +13,8 @@
 //! * [`gf`] (`dyncode-gf`) — finite fields GF(2)/GF(2⁸)/GF(p≤2⁶¹−1),
 //!   packed GF(2) linear algebra, incremental subspace bases.
 //! * [`dynet`] (`dyncode-dynet`) — the dynamic network model: adversaries,
-//!   the round-synchronous simulator with per-message bit accounting,
+//!   the round-synchronous simulator with per-message bit accounting (one
+//!   round loop over CSR topology snapshots rebuilt from edge deltas),
 //!   Luby-MIS patch decompositions.
 //! * [`rlnc`] (`dyncode-rlnc`) — coded packets, coding node state, the
 //!   Definition 5.1 sensing instrumentation, and the Section 6
@@ -31,11 +32,11 @@
 //!   stochastic evolving-graph adversaries (edge-Markov, random
 //!   waypoint, churn) and the streaming `.dct` binary trace format for
 //!   exact record/replay.
-//! * [`kernel`] (`dyncode-kernel`) — the arena-backed fast-path
-//!   execution backend: CSR topology snapshots rebuilt from edge
-//!   deltas, word-packed GF(2) elimination cells, and the
-//!   `Kernel::{Reference, Fast, Auto}` selection enum, bit-identical to
-//!   the reference simulator on every eligible spec.
+//! * [`kernel`] (`dyncode-kernel`) — the arena-backed fast cells
+//!   (word-packed GF(2), bit-planar GF(2⁸), dense-field, forwarding and
+//!   quorum cells) and the `Kernel::{Reference, Fast, Auto}` selection
+//!   enum, bit-identical to the reference state machines on every
+//!   eligible spec.
 //! * [`quorum`] (`dyncode-quorum`) — latest-message-per-peer consensus:
 //!   per-node `max_rounds` tables merged by max on delivery, monotone
 //!   f+1 / 4f+1 watermarks, and the `quorum-watermark` /
@@ -64,9 +65,7 @@ pub mod prelude {
         Centralized, GreedyForward, IndexedBroadcast, NaiveCoded, PriorityForward, RandomForward,
         TokenForwarding,
     };
-    pub use dyncode_core::runner::{
-        fully_disseminated, run_one, run_spec_kernel, summarize, sweep_seeds, Kernel,
-    };
+    pub use dyncode_core::runner::{fully_disseminated, run_spec_kernel, summarize, Kernel};
     pub use dyncode_core::theory;
     pub use dyncode_dynet::adversaries;
     pub use dyncode_dynet::adversary::{Adversary, KnowledgeView, TStable};

@@ -5,7 +5,7 @@
 //! This is what makes `--threads N` safe to use everywhere: parallelism
 //! can change only wall-clock, never results. The contract holds because
 //! (a) every `(cell, seed)` run re-derives all randomness from its own
-//! seed (`dyncode_core::runner::run_one`), and (b) the executor returns
+//! seed (`dyncode_core::runner::run_spec_kernel`), and (b) the executor returns
 //! outcomes in submission order regardless of completion order.
 
 use dyncode::engine::{run_campaign, AdversaryKind, Campaign, CapRule, Dim, Engine, ProtocolSpec};
@@ -204,7 +204,7 @@ fn protocol_grid_campaign_is_thread_count_independent_and_erased_equals_mono() {
     // on one grid point of the same campaign.
     use dyncode::core::params::{Instance, Params, Placement};
     use dyncode::core::protocols::{GreedyConfig, GreedyForward};
-    use dyncode::core::runner::run_spec;
+    use dyncode::core::runner::{run_spec_kernel, Kernel};
     use dyncode::dynet::adversaries::ShuffledPathAdversary;
     use dyncode::dynet::adversary::Adversary;
     use dyncode::dynet::simulator::{run, SimConfig};
@@ -213,7 +213,7 @@ fn protocol_grid_campaign_is_thread_count_independent_and_erased_equals_mono() {
     let cfg = SimConfig::with_max_rounds(500 * 64).recording();
     let spec = ProtocolSpec::parse("greedy-forward(gather=2,bcast=3)").unwrap();
     let adv = || Box::new(ShuffledPathAdversary) as Box<dyn Adversary>;
-    let erased = run_spec(&spec, &inst, 1, &adv, &cfg, 2);
+    let erased = run_spec_kernel(&spec, &inst, 1, &adv, &cfg, 2, Kernel::Reference);
     let mut mono = GreedyForward::with_config(
         &inst,
         GreedyConfig {

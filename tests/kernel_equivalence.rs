@@ -1,6 +1,7 @@
 //! The kernel equivalence contract: for every **eligible** spec ×
-//! adversary × seed, the arena-backed fast backend (`dyncode-kernel`)
-//! produces a `RunResult` **bit-identical** to the reference simulator's —
+//! adversary × seed, the arena-backed fast cells (`dyncode-kernel`)
+//! produce a `RunResult` **bit-identical** to the reference state
+//! machines' in the same round loop —
 //! rounds, completion, total bits, max message bits, and the per-round
 //! history compared element-wise. This is the PR-5 analogue of PR 3's
 //! replay == record and PR 4's erased == mono contracts: committed
@@ -158,6 +159,42 @@ fn auto_matches_explicit_fast_on_eligible_specs() {
         assert!(!fast_eligible(&spec), "{spec_s}");
         assert_eq!(resolve_kernel(&spec, Kernel::Auto), Kernel::Reference);
     }
+}
+
+/// Both kernels run in the one round loop, so a traced run emits the
+/// same `kernel.*` phase spans whichever kernel it is on. Sinks are
+/// process-global and other tests in this binary run concurrently, so
+/// only this thread's events are read.
+#[test]
+fn both_kernels_emit_the_same_phase_spans() {
+    let inst = Instance::generate(Params::new(12, 12, 5, 10), Placement::OneTokenPerNode, 3);
+    let spec = ProtocolSpec::parse("field-broadcast(gf2)").unwrap();
+    let cfg = SimConfig::with_max_rounds(20_000);
+    let adv = || AdversaryKind::parse("shuffled-path").unwrap().build(1);
+    let sink = std::sync::Arc::new(dyncode_obs::MemorySink::default());
+    let id = dyncode_obs::install(sink.clone());
+    let me = dyncode_obs::thread_id();
+    let spans = |kernel| {
+        run_spec_kernel(&spec, &inst, 1, &adv, &cfg, 7, kernel);
+        sink.take()
+            .into_iter()
+            .filter(|e| e.thread == me && e.name.starts_with("kernel."))
+            .map(|e| e.name)
+            .collect::<Vec<_>>()
+    };
+    let reference = spans(Kernel::Reference);
+    let fast = spans(Kernel::Fast);
+    dyncode_obs::uninstall(id);
+    assert_eq!(
+        reference,
+        [
+            "kernel.csr",
+            "kernel.compose",
+            "kernel.gather",
+            "kernel.eliminate"
+        ]
+    );
+    assert_eq!(reference, fast);
 }
 
 #[test]

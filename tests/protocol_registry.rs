@@ -4,8 +4,8 @@
 //!    whatever a spec prints, parsing it back yields an equal spec
 //!    (property-tested over randomly generated specs), and malformed
 //!    strings are rejected with errors that enumerate the registry.
-//! 2. **Erasure**: `run_erased` on a registry-built protocol reproduces
-//!    the monomorphized `run`'s `RunResult` **bit for bit** — rounds,
+//! 2. **Erasure**: a registry-built protocol run on the reference kernel
+//!    reproduces the monomorphized `run`'s `RunResult` **bit for bit** — rounds,
 //!    total bits, max message bits, per-round history — across a seeded
 //!    cross-protocol matrix covering every simulator family, three
 //!    coding fields, deterministic advice mode, and configured variants.
@@ -15,7 +15,7 @@ use dyncode::core::protocols::{
     Centralized, FieldBroadcast, GreedyConfig, GreedyForward, IndexedBroadcast, NaiveCoded,
     PriorityConfig, PriorityForward, RandomForward, TokenForwarding,
 };
-use dyncode::core::runner::run_spec;
+use dyncode::core::runner::{run_spec_kernel, Kernel};
 use dyncode::core::spec::ProtocolSpec;
 use dyncode::dynet::adversaries::{RandomConnectedAdversary, ShuffledPathAdversary};
 use dyncode::dynet::adversary::Adversary;
@@ -133,7 +133,7 @@ where
     let spec = ProtocolSpec::parse(spec).expect(spec);
     let adv = || Box::new(RandomConnectedAdversary::new(1)) as Box<dyn Adversary>;
 
-    let erased: RunResult = run_spec(&spec, &inst, t, &adv, &cfg, seed);
+    let erased: RunResult = run_spec_kernel(&spec, &inst, t, &adv, &cfg, seed, Kernel::Reference);
     let mut mono = build(&inst);
     let mut a = RandomConnectedAdversary::new(1);
     let direct = run(&mut mono, &mut a, &cfg, seed);
@@ -261,13 +261,14 @@ fn gf2_field_broadcast_builds_and_completes() {
     let inst = Instance::generate(Params::new(10, 10, 5, 200), Placement::RoundRobin, 8);
     let adv = || Box::new(ShuffledPathAdversary) as Box<dyn Adversary>;
     let spec = ProtocolSpec::parse("field-broadcast(gf2)").unwrap();
-    let r = run_spec(
+    let r = run_spec_kernel(
         &spec,
         &inst,
         1,
         &adv,
         &SimConfig::with_max_rounds(100_000),
         3,
+        Kernel::Reference,
     );
     assert!(r.completed);
     let mono = FieldBroadcast::<dyncode::gf::Gf2>::new(&inst);
