@@ -42,6 +42,15 @@ impl Graph {
         g
     }
 
+    /// Wraps adjacency lists that already hold the invariants
+    /// [`Graph::add_edge`] maintains: sorted, symmetric, loop- and
+    /// duplicate-free, with `num_edges` undirected edges.
+    pub(crate) fn from_sorted_adjacency(adj: Vec<Vec<NodeId>>, num_edges: usize) -> Self {
+        debug_assert!(adj.iter().all(|ns| ns.windows(2).all(|w| w[0] < w[1])));
+        debug_assert_eq!(adj.iter().map(Vec::len).sum::<usize>(), 2 * num_edges);
+        Graph { adj, num_edges }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.adj.len()

@@ -89,14 +89,51 @@ pub fn symm_diff(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Materializes a graph on `n` nodes from sorted edge ids.
+/// Materializes a graph on `n` nodes from sorted edge ids in
+/// O(n + ids), with no square root or sorted insert per id.
+///
+/// A first walk over the ids validates them and counts degrees; the
+/// adjacency lists are then filled at exact capacity by a second.
+/// Increasing ids visit each node's lower neighbours (the node as `hi`)
+/// before its higher ones (as `lo`), each run ascending, so every list
+/// comes out sorted.
+///
+/// # Panics
+/// Panics unless the ids are strictly increasing and below
+/// `n(n−1)/2`.
 pub fn graph_from_ids(n: usize, ids: &[u64]) -> Graph {
-    let mut g = Graph::empty(n);
+    let max_id = (n as u64) * (n as u64).saturating_sub(1) / 2;
+    let mut next_min = 0u64;
+    let mut deg = vec![0usize; n];
     for &id in ids {
-        let (u, v) = id_to_edge(id);
-        g.add_edge(u, v);
+        assert!(id >= next_min, "edge ids must be strictly increasing");
+        assert!(id < max_id, "edge id {id} out of range for n={n}");
+        next_min = id + 1;
     }
-    g
+    for (lo, hi) in step_edges(ids) {
+        deg[lo] += 1;
+        deg[hi] += 1;
+    }
+    let mut adj: Vec<Vec<NodeId>> = deg.iter().map(|&d| Vec::with_capacity(d)).collect();
+    for (lo, hi) in step_edges(ids) {
+        adj[hi].push(lo);
+        adj[lo].push(hi);
+    }
+    Graph::from_sorted_adjacency(adj, ids.len())
+}
+
+/// Decodes increasing edge ids to their `(lo, hi)` endpoints by stepping
+/// the row `hi` forward, amortized O(1) per id.
+fn step_edges(ids: &[u64]) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    // `row` is the first id of row `hi`: hi(hi−1)/2.
+    let (mut hi, mut row) = (1u64, 0u64);
+    ids.iter().map(move |&id| {
+        while id >= row + hi {
+            row += hi;
+            hi += 1;
+        }
+        ((id - row) as NodeId, hi as NodeId)
+    })
 }
 
 /// A delta-encoded topology trace: per round, the sorted list of edge ids
@@ -350,6 +387,39 @@ mod tests {
         // Dense: 40 nodes have exactly 40·39/2 ids.
         assert_eq!(seen.len(), 40 * 39 / 2);
         assert_eq!(*seen.iter().max().unwrap(), 40 * 39 / 2 - 1);
+    }
+
+    #[test]
+    fn graph_from_ids_matches_edge_by_edge_construction() {
+        use rand::RngExt;
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [0usize, 1, 2, 3, 17, 64] {
+            for p in [0.0, 0.05, 0.5, 1.0] {
+                let max = (n * n.saturating_sub(1) / 2) as u64;
+                let ids: Vec<u64> = (0..max).filter(|_| rng.random_bool(p)).collect();
+                let mut want = Graph::empty(n);
+                for &id in &ids {
+                    let (u, v) = id_to_edge(id);
+                    want.add_edge(u, v);
+                }
+                let got = graph_from_ids(n, &ids);
+                assert_eq!(got, want, "n={n} p={p}");
+                assert_eq!(got.num_edges(), ids.len());
+                assert_eq!(edge_ids(&got), ids);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn graph_from_ids_rejects_duplicates() {
+        let _ = graph_from_ids(4, &[1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn graph_from_ids_rejects_out_of_range_ids() {
+        let _ = graph_from_ids(3, &[0, 3]);
     }
 
     #[test]

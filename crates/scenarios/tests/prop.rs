@@ -2,6 +2,8 @@
 //! honors the KLO connectivity invariant (over the full node set, and —
 //! for churn — over the active subset), and the `.dct` format round-trips
 //! arbitrary schedules, including empty-delta and full-rewire rounds.
+//! The waypoint model's grid path is checked graph for graph against a
+//! direct all-pairs oracle.
 
 use dyncode_dynet::adversary::{Adversary, KnowledgeView};
 use dyncode_dynet::graph::Graph;
@@ -40,6 +42,117 @@ fn induced_connected(g: &Graph, active: &[bool]) -> bool {
         }
     }
     sub.is_connected()
+}
+
+/// The waypoint model computed the direct way, kept here only as the
+/// reference for its grid-bucketed implementation: the same coins in the
+/// same order, an all-pairs unit-disk scan, and a repair that recomputes
+/// components and scans every pair for each bridge.
+struct WaypointOracle {
+    radius: f64,
+    speed: f64,
+    pos: Vec<[f64; 2]>,
+    dst: Vec<[f64; 2]>,
+}
+
+impl WaypointOracle {
+    fn rand_point(rng: &mut StdRng) -> [f64; 2] {
+        [rng.random::<f64>(), rng.random::<f64>()]
+    }
+
+    fn d2(&self, u: usize, v: usize) -> f64 {
+        let (ax, ay) = (self.pos[u][0], self.pos[u][1]);
+        let (bx, by) = (self.pos[v][0], self.pos[v][1]);
+        (ax - bx) * (ax - bx) + (ay - by) * (ay - by)
+    }
+
+    fn topology(&mut self, n: usize, rng: &mut StdRng) -> Graph {
+        if self.pos.len() != n {
+            self.pos = (0..n).map(|_| Self::rand_point(rng)).collect();
+            self.dst = (0..n).map(|_| Self::rand_point(rng)).collect();
+        } else {
+            for i in 0..n {
+                let [px, py] = self.pos[i];
+                let [dx, dy] = self.dst[i];
+                let (vx, vy) = (dx - px, dy - py);
+                let dist = (vx * vx + vy * vy).sqrt();
+                if dist <= self.speed {
+                    self.pos[i] = self.dst[i];
+                    self.dst[i] = Self::rand_point(rng);
+                } else {
+                    let scale = self.speed / dist;
+                    self.pos[i] = [px + vx * scale, py + vy * scale];
+                }
+            }
+        }
+        let mut g = Graph::empty(n);
+        let r2 = self.radius * self.radius;
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if self.d2(u, v) <= r2 {
+                    g.add_edge(u, v);
+                }
+            }
+        }
+        loop {
+            let comps = dyncode_scenarios::repair::components(&g);
+            if comps.len() <= 1 {
+                return g;
+            }
+            let mut comp_of = vec![0usize; n];
+            for (ci, comp) in comps.iter().enumerate() {
+                for &u in comp {
+                    comp_of[u] = ci;
+                }
+            }
+            let mut best: Option<(f64, usize, usize)> = None;
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    let d2 = self.d2(u, v);
+                    if comp_of[u] != comp_of[v] && best.is_none_or(|(bd, _, _)| d2 < bd) {
+                        best = Some((d2, u, v));
+                    }
+                }
+            }
+            let (_, u, v) = best.expect("≥2 components have a cross pair");
+            g.add_edge(u, v);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The grid-bucketed waypoint model emits exactly the oracle's graph
+    /// every round, across tiny radii (all-repair rounds), radii past the
+    /// unit square's diagonal (one cell, complete graphs) and between.
+    #[test]
+    fn waypoint_grid_matches_all_pairs_oracle(
+        n in 1usize..200,
+        radius in prop_oneof![
+            Just(1e-6),
+            Just(0.02),
+            Just(0.25),
+            Just(std::f64::consts::SQRT_2),
+            Just(1.5),
+            (1_000u32..500_000).prop_map(|um| um as f64 / 1e6),
+            (1_000u32..500_000).prop_map(|um| um as f64 / 1e6),
+        ],
+        speed_um in 1_000u32..300_000,
+        seed in any::<u64>(),
+    ) {
+        let speed = speed_um as f64 / 1e6;
+        let mut adv = WaypointAdversary::new(radius, speed);
+        let mut oracle = WaypointOracle { radius, speed, pos: Vec::new(), dst: Vec::new() };
+        let view = KnowledgeView::blank(n, 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut oracle_rng = StdRng::seed_from_u64(seed);
+        for round in 0..4 {
+            let got = adv.topology(round, &view, &mut rng);
+            let want = oracle.topology(n, &mut oracle_rng);
+            prop_assert_eq!(got.edges(), want.edges(), "round {}", round);
+        }
+    }
 }
 
 proptest! {
