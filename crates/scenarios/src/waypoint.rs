@@ -23,8 +23,9 @@ use dyncode_dynet::trace::graph_from_ids;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// Absolute slack on grid-derived distance bounds, far above the
-/// rounding in a cell index and far below any distance that matters.
+/// Slack on grid-derived bounds (relative on the cell width, absolute
+/// on ring distances): far above the rounding in a cell index, far
+/// below any distance that matters.
 const BOUND_SLACK: f64 = 1e-9;
 
 /// The random-waypoint adversary. Oblivious: ignores node knowledge.
