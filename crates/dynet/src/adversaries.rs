@@ -66,6 +66,10 @@ impl Adversary for StaticAdversary {
         );
         self.graph.clone()
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 /// A fresh random connected graph (random spanning tree + `extra_edges`
@@ -90,6 +94,10 @@ impl Adversary for RandomConnectedAdversary {
     fn topology(&mut self, _round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
         generators::random_connected(view.num_nodes(), self.extra_edges, rng)
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 /// A path over a fresh uniformly random node permutation each round.
@@ -103,6 +111,10 @@ impl Adversary for ShuffledPathAdversary {
     fn topology(&mut self, _round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
         let order = generators::random_permutation(view.num_nodes(), rng);
         generators::path_with_order(&order)
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 
@@ -118,6 +130,10 @@ impl Adversary for ShuffledStarAdversary {
         let n = view.num_nodes();
         let center = rng.random_range(0..n);
         generators::star(n, center)
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 
@@ -176,6 +192,10 @@ impl Adversary for BottleneckAdversary {
         let b = rng.random_range(half..n);
         generators::dumbbell(n, a, b)
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 /// A *T-interval connected* adversary (the Kuhn et al. stability notion,
@@ -229,6 +249,10 @@ impl Adversary for TIntervalAdversary {
             attempts += 1;
         }
         g
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 

@@ -60,6 +60,16 @@ pub trait Adversary {
 
     /// Chooses the topology for `round`.
     fn topology(&mut self, round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph;
+
+    /// Does [`topology`](Adversary::topology) read nothing of the view
+    /// but [`KnowledgeView::num_nodes`]? Then the round loop hands it one
+    /// blank view per run instead of building the nodes' knowledge view
+    /// every round. The schedule must be the same either way, so answer
+    /// `true` only for an adversary that never adapts to node state;
+    /// wrappers forward their inner adversary's answer.
+    fn oblivious(&self) -> bool {
+        false
+    }
 }
 
 /// Wraps any adversary into a T-*stable* one: the inner adversary is
@@ -103,6 +113,10 @@ impl<A: Adversary> Adversary for TStable<A> {
         }
         self.current.clone().expect("just set")
     }
+
+    fn oblivious(&self) -> bool {
+        self.inner.oblivious()
+    }
 }
 
 /// A boxed adversary, for heterogeneous collections in experiment sweeps.
@@ -115,6 +129,10 @@ impl Adversary for BoxedAdversary {
 
     fn topology(&mut self, round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
         (**self).topology(round, view, rng)
+    }
+
+    fn oblivious(&self) -> bool {
+        (**self).oblivious()
     }
 }
 

@@ -5,12 +5,12 @@
 //! adversary and view, compose, delivery) and, when telemetry is enabled,
 //! reports per-run totals as `span` events: `kernel.csr`,
 //! `kernel.compose`, `kernel.eliminate`, and `kernel.gather` (delivery
-//! minus elimination — message copy/unpack and inbox traversal).
+//! minus elimination — message builds, unpacking and inbox traversal).
 //! Elimination happens inside a cell's `deliver_all`, so the elimination
-//! cells add to this thread-local accumulator around their per-message
-//! `insert` calls, and only while telemetry is enabled
-//! (`dyncode_obs::enabled()`) — the disabled path costs one atomic load
-//! per `deliver_all`, not per message.
+//! cells add to this thread-local accumulator around each receiving
+//! node's inbox (packet copies and `insert` calls), and only while
+//! telemetry is enabled (`dyncode_obs::enabled()`) — the disabled path
+//! costs one atomic load per `deliver_all`, not per message.
 
 use std::cell::Cell;
 
@@ -24,7 +24,7 @@ pub(crate) fn elim_reset() {
     ELIM_NS.with(|c| c.set(0));
 }
 
-/// Adds `ns` of elimination time (called by cells per delivered message).
+/// Adds `ns` of elimination time (called by cells per receiving node).
 pub fn elim_add(ns: u64) {
     ELIM_NS.with(|c| c.set(c.get() + ns));
 }

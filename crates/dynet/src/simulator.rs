@@ -4,7 +4,8 @@
 //! Round structure, exactly as in the model:
 //!
 //! 1. The adversary observes node state (a [`KnowledgeView`]) and commits a
-//!    **connected** topology for the round.
+//!    **connected** topology for the round. An [oblivious](Adversary::oblivious)
+//!    adversary reads nothing of node state, so it gets a blank view.
 //! 2. Every node chooses an O(b)-bit message *without knowing its
 //!    neighbors* (the compose step receives no topology information).
 //! 3. Every node receives the messages of all its neighbors in the
@@ -445,9 +446,15 @@ pub trait FastCell {
     /// Number of nodes n.
     fn num_nodes(&self) -> usize;
 
-    /// Composes every node's broadcast for `round` into the message
-    /// arena, enforcing `bit_limit` per message when set. Returns
-    /// `(bits broadcast this round, largest message this round)`.
+    /// Composes every node's broadcast for `round`, enforcing
+    /// `bit_limit` per message when set. Returns `(bits broadcast this
+    /// round, largest message this round)`.
+    ///
+    /// This call must draw every coin the per-node composes draw, set
+    /// [`spoke`](FastCell::spoke), and do the bit accounting. It may
+    /// defer building a message until `deliver_all`, as long as the built
+    /// message equals the one composed here: nothing changes node state
+    /// between the two calls.
     fn compose_all(&mut self, round: usize, rng: &mut StdRng, bit_limit: Option<u64>)
         -> (u64, u64);
 
@@ -625,6 +632,9 @@ pub fn run_fast(
     let mut total_bits = 0u64;
     let mut max_message_bits = 0u64;
     let mut history = Vec::new();
+    // An oblivious adversary reads only the node count, so one blank
+    // view serves the whole run and the cell builds none.
+    let blank = adversary.oblivious().then(|| KnowledgeView::blank(n, 0));
 
     phase::elim_reset();
     let (mut t_view, mut t_compose, mut t_deliver) =
@@ -634,8 +644,15 @@ pub fn run_fast(
     while !completed && round < config.max_rounds {
         let t0 = Instant::now();
         // 1. Adversary commits a topology from the current state.
-        let view = cell.view();
-        let graph = adversary.topology(round, &view, &mut adv_rng);
+        let built;
+        let view = match &blank {
+            Some(v) => v,
+            None => {
+                built = cell.view();
+                &built
+            }
+        };
+        let graph = adversary.topology(round, view, &mut adv_rng);
         assert_eq!(
             graph.num_nodes(),
             n,
@@ -691,8 +708,9 @@ pub fn run_fast(
         completed = cell.all_done();
     }
     // Per-run phase totals as aggregate span events. `kernel.eliminate`
-    // is what the cells accumulated around their `insert` calls;
-    // `kernel.gather` is the rest of delivery (copy/unpack + inbox walk).
+    // is what the cells accumulated around each receiver's inbox
+    // (packet copies + inserts); `kernel.gather` is the rest of delivery
+    // (message builds, unpacking, the inbox walk of saturated nodes).
     let elim_ns = phase::elim_take();
     if dyncode_obs::enabled() {
         let fields = || {

@@ -274,6 +274,10 @@ impl<A: Adversary> Adversary for RecordingAdversary<A> {
         self.trace.borrow_mut().push(&g);
         g
     }
+
+    fn oblivious(&self) -> bool {
+        self.inner.oblivious()
+    }
 }
 
 /// Replays a fixed topology sequence; past the end it cycles (so longer
@@ -364,6 +368,10 @@ impl Adversary for ReplayAdversary {
     fn topology(&mut self, round: usize, _view: &KnowledgeView, _rng: &mut StdRng) -> Graph {
         let idx = round % self.trace.len();
         self.graph_at(idx)
+    }
+
+    fn oblivious(&self) -> bool {
+        true
     }
 }
 

@@ -50,6 +50,24 @@ pub fn limb_leading_one(words: &[u64]) -> Option<usize> {
     None
 }
 
+/// The set bits of a limb slice, ascending (pivot-mask walks of the
+/// elimination kernels, and [`Gf2Vec::iter_ones`]).
+#[inline]
+pub fn limb_ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        core::iter::from_fn(move || {
+            if word == 0 {
+                None
+            } else {
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                Some(w * 64 + b)
+            }
+        })
+    })
+}
+
 /// Number of set bits among the first `upto` bits of a limb slice (the
 /// prefix popcount used by coefficient-rank and decodability tests).
 pub fn limb_prefix_ones(words: &[u64], upto: usize) -> usize {
@@ -229,18 +247,7 @@ impl Gf2Vec {
 
     /// Indices of set coordinates, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut word = word;
-            core::iter::from_fn(move || {
-                if word == 0 {
-                    None
-                } else {
-                    let b = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    Some(w * 64 + b)
-                }
-            })
-        })
+        limb_ones(&self.words)
     }
 
     /// GF(2) inner product with `other` (parity of the AND).

@@ -282,18 +282,16 @@ impl<F: Field> FastCell for DenseCell<F> {
             if self.nodes[u].order.len() == self.k {
                 continue;
             }
+            let t = timing.then(std::time::Instant::now);
             for &v in topo.neighbors(u) {
                 let v = v as usize;
                 if self.has_msg[v] {
                     scratch.copy_from_slice(&unpacked[v * ambient..(v + 1) * ambient]);
-                    if timing {
-                        let t = std::time::Instant::now();
-                        self.insert(u, &mut scratch);
-                        dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.insert(u, &mut scratch);
-                    }
+                    self.insert(u, &mut scratch);
                 }
+            }
+            if let Some(t) = t {
+                dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
             }
         }
         self.scratch = scratch;

@@ -29,14 +29,16 @@
 //!   per-row plane-mask decode) and the monomial multiplications
 //!   happen once. Back-elimination bit-slices the other way — the
 //!   eight products `x^b·v` are formed once and rows XOR in the ones
-//!   their coefficient selects. Compose at contiguous rank writes the
-//!   drawn coefficients directly and pays row arithmetic only on the
-//!   tail words `[rank/64..w)`; at rank k this is the classic
-//!   saturated `(I | P)` compose, O(k + k·payload) instead of
-//!   O(k·ambient).
+//!   their coefficient selects. A message built at contiguous rank
+//!   writes the drawn coefficients directly and pays row arithmetic
+//!   only on the tail words `[rank/64..w)`; at rank k this is the
+//!   classic saturated `(I | P)` combination, O(k + k·payload) instead
+//!   of O(k·ambient).
 //! * **Saturation skip** on delivery, as in the dense cell: a rank-k
 //!   basis absorbs nothing, and inserts draw no coins, so skipping the
-//!   inbox is bit-invisible.
+//!   inbox is bit-invisible — and a message that only saturated
+//!   receivers hear is never built (`compose_all` records the drawn
+//!   coefficients; `deliver_all` builds what its receivers read).
 //!
 //! Messages stay bit-planar in the arena — the wire format is internal
 //! to the cell, and the bit accounting is ⌈lg q⌉ · ambient either way.
@@ -54,6 +56,7 @@ use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
 use dyncode_dynet::simulator::{CsrTopology, FastCell};
 use dyncode_gf::{Field, Gf256};
+use dyncode_obs::metrics::Counter;
 use rand::rngs::StdRng;
 
 /// `dst ^= c · src` on bit-planar rows of `w` words per plane, restricted
@@ -212,11 +215,17 @@ pub struct Gf256Cell {
     nodes: Vec<NodeBasis>,
     /// Per node: pivots below k (the coefficient-projection rank).
     coeff_rank: Vec<u32>,
+    /// This round's coefficients: `coins[u·k + r]` is the one node `u`
+    /// drew for its basis row `r` (pivot order), valid iff `has_msg[u]`.
+    coins: Vec<u8>,
     /// Message arena: node `u`'s planar broadcast at
-    /// `msgs[u·rw .. (u+1)·rw]`, valid iff `has_msg[u]`.
+    /// `msgs[u·rw .. (u+1)·rw]`, valid after `deliver_all` built it
+    /// (`heard[u]`).
     msgs: Vec<u64>,
     has_msg: Vec<bool>,
-    /// Compose/delivery buffer, one planar row.
+    /// Per node: does an unsaturated receiver hear it this round?
+    heard: Vec<bool>,
+    /// Delivery buffer, one planar row.
     scratch: Vec<u64>,
     /// Normalization buffer, one planar row.
     scratch2: Vec<u64>,
@@ -226,6 +235,10 @@ pub struct Gf256Cell {
     /// Eight planar rows of bit-sliced accumulators for the
     /// high-rank reduce and back-elimination.
     bacc: Vec<u64>,
+    /// `kernel.msgs_drawn`: speakers that drew coins.
+    msgs_drawn: &'static Counter,
+    /// `kernel.msgs_built`: messages built for a receiver.
+    msgs_built: &'static Counter,
 }
 
 /// Ranks below this use the per-row axpy paths; from here up the
@@ -256,12 +269,16 @@ impl Gf256Cell {
                 n
             ],
             coeff_rank: vec![0; n],
+            coins: vec![0; n * k],
             msgs: vec![0; n * rw],
             has_msg: vec![false; n],
+            heard: vec![false; n],
             scratch: vec![0; rw],
             scratch2: vec![0; rw],
             cscratch: vec![0; w * 64],
             bacc: vec![0; 8 * rw],
+            msgs_drawn: dyncode_obs::metrics::counter("kernel.msgs_drawn"),
+            msgs_built: dyncode_obs::metrics::counter("kernel.msgs_built"),
         }
     }
 
@@ -458,6 +475,49 @@ impl Gf256Cell {
         true
     }
 
+    /// Builds `node`'s message from its recorded coefficients: the
+    /// combination `compose_all` drew, over the basis it drew it from.
+    fn build(&mut self, node: usize) {
+        let (k, w, rw) = (self.k, self.w, self.rw);
+        let st = &self.nodes[node];
+        let nrank = st.order.len();
+        let coins = &self.coins[node * k..node * k + nrank];
+        let msg = &mut self.msgs[node * rw..(node + 1) * rw];
+        msg.fill(0);
+        if st.pivots[nrank - 1] as usize == nrank - 1 {
+            // Contiguous-pivot shortcut (saturation is the nrank = k
+            // case). With pivots exactly 0..nrank, RREF pins row j's
+            // support to {j} ∪ [nrank..): the drawn coefficients ARE
+            // the combination's first nrank symbols, and only the
+            // tail words [lo·64..) need row arithmetic. A row whose
+            // pivot bit sits inside the tail word range contributes
+            // it through its axpy; pivots below lo·64 are set
+            // directly — each column < nrank is touched by exactly
+            // one row, so the disjoint writes compose exactly.
+            let lo = nrank / 64;
+            for (j, &c) in coins.iter().enumerate() {
+                if c != 0 {
+                    if j < lo * 64 {
+                        set_sym(msg, w, j, c);
+                    }
+                    let slot = st.order[j] as usize;
+                    plane_axpy(msg, &st.rows[slot * rw..(slot + 1) * rw], c, w, lo);
+                }
+            }
+        } else {
+            // The axpy skips zero coefficients, as `scale_add` does, and
+            // starts at the row's pivot word (rows are zero before their
+            // pivot).
+            for (r, &c) in coins.iter().enumerate() {
+                if c != 0 {
+                    let slot = st.order[r] as usize;
+                    let p = st.pivots[r] as usize;
+                    plane_axpy(msg, &st.rows[slot * rw..(slot + 1) * rw], c, w, p / 64);
+                }
+            }
+        }
+    }
+
     fn node_done(&self, node: usize) -> bool {
         self.coeff_rank[node] as usize == self.k
     }
@@ -478,63 +538,23 @@ impl FastCell for Gf256Cell {
         rng: &mut StdRng,
         bit_limit: Option<u64>,
     ) -> (u64, u64) {
-        let (w, rw) = (self.w, self.rw);
+        let k = self.k;
         let bits = self.ambient as u64 * Gf256::bits_per_symbol() as u64;
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
-        let mut msg = std::mem::take(&mut self.scratch);
+        let mut drawn = 0;
         for u in 0..self.n {
-            let st = &self.nodes[u];
-            let nrank = st.order.len();
+            let nrank = self.nodes[u].order.len();
             if nrank == 0 {
                 // Nothing received: stay silent and draw no coefficients,
                 // exactly like the reference emit.
                 self.has_msg[u] = false;
                 continue;
             }
-            msg.fill(0);
-            if st.pivots[nrank - 1] as usize == nrank - 1 {
-                // Contiguous-pivot shortcut (saturation is the nrank = k
-                // case). With pivots exactly 0..nrank, RREF pins row j's
-                // support to {j} ∪ [nrank..): the drawn coefficients ARE
-                // the combination's first nrank symbols, and only the
-                // tail words [lo·64..) need row arithmetic. A row whose
-                // pivot bit sits inside the tail word range contributes
-                // it through its axpy; pivots below lo·64 are set
-                // directly — each column < nrank is touched by exactly
-                // one row, so the disjoint writes compose exactly.
-                let lo = nrank / 64;
-                for j in 0..nrank {
-                    // Same draw sequence as the general path.
-                    let c = Gf256::random(rng);
-                    if c.0 != 0 {
-                        if j < lo * 64 {
-                            set_sym(&mut msg, w, j, c.0);
-                        }
-                        let slot = st.order[j] as usize;
-                        plane_axpy(&mut msg, &st.rows[slot * rw..(slot + 1) * rw], c.0, w, lo);
-                    }
-                }
-            } else {
-                for r in 0..nrank {
-                    // One coefficient per basis row in pivot order — the
-                    // draw sequence of `random_combination`; the axpy
-                    // skips zero coefficients, as `scale_add` does, and
-                    // starts at the row's pivot word (rows are zero
-                    // before their pivot).
-                    let c = Gf256::random(rng);
-                    if c.0 != 0 {
-                        let slot = st.order[r] as usize;
-                        let p = st.pivots[r] as usize;
-                        plane_axpy(
-                            &mut msg,
-                            &st.rows[slot * rw..(slot + 1) * rw],
-                            c.0,
-                            w,
-                            p / 64,
-                        );
-                    }
-                }
+            // One coefficient per basis row in pivot order — the draw
+            // sequence of `random_combination`.
+            for c in &mut self.coins[u * k..u * k + nrank] {
+                *c = Gf256::random(rng).0;
             }
             if let Some(limit) = bit_limit {
                 assert!(
@@ -545,15 +565,33 @@ impl FastCell for Gf256Cell {
             }
             round_bits += bits;
             round_max = round_max.max(bits);
-            self.msgs[u * rw..(u + 1) * rw].copy_from_slice(&msg);
             self.has_msg[u] = true;
+            drawn += 1;
         }
-        self.scratch = msg;
+        self.msgs_drawn.add(drawn);
         (round_bits, round_max)
     }
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
         let rw = self.rw;
+        // Mark every speaker some unsaturated receiver hears, then build
+        // those messages before any insert changes a basis.
+        self.heard.fill(false);
+        for u in 0..self.n {
+            if self.nodes[u].order.len() < self.k {
+                for &v in topo.neighbors(u) {
+                    self.heard[v as usize] = true;
+                }
+            }
+        }
+        let mut built = 0;
+        for v in 0..self.n {
+            if self.heard[v] && self.has_msg[v] {
+                self.build(v);
+                built += 1;
+            }
+        }
+        self.msgs_built.add(built);
         let timing = dyncode_obs::enabled();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
@@ -564,18 +602,16 @@ impl FastCell for Gf256Cell {
             if self.nodes[u].order.len() == self.k {
                 continue;
             }
+            let t = timing.then(std::time::Instant::now);
             for &v in topo.neighbors(u) {
                 let v = v as usize;
                 if self.has_msg[v] {
                     scratch.copy_from_slice(&self.msgs[v * rw..(v + 1) * rw]);
-                    if timing {
-                        let t = std::time::Instant::now();
-                        self.insert(u, &mut scratch);
-                        dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.insert(u, &mut scratch);
-                    }
+                    self.insert(u, &mut scratch);
                 }
+            }
+            if let Some(t) = t {
+                dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
             }
         }
         self.scratch = scratch;
@@ -761,8 +797,9 @@ mod tests {
             }
         }
         assert_eq!(cell.rank(0), k - 1, "contiguous partial rank");
-        // Compose at contiguous rank k−1 < k (lo = 1): the shortcut must
-        // equal the explicit per-row combination under the same draws.
+        // Compose at contiguous rank k−1 < k (lo = 1), then build: the
+        // shortcut must equal the explicit per-row combination under the
+        // same draws.
         let mut rng_a = StdRng::seed_from_u64(31);
         let mut rng_b = rng_a.clone();
         let mut expect = vec![Gf256::ZERO; k + d];
@@ -772,6 +809,7 @@ mod tests {
             vector::scale_add(&mut expect, &row, c);
         }
         cell.compose_all(0, &mut rng_b, None);
+        cell.build(0);
         let msg = &cell.msgs[..cell.rw];
         for (i, e) in expect.iter().enumerate() {
             assert_eq!(get_sym(msg, cell.w, i), e.0, "symbol {i}");
@@ -829,9 +867,9 @@ mod tests {
         assert_eq!(cell.coefficient_rank(0), k);
     }
 
-    /// The saturated compose (rank k, k % 64 == 0) must emit the same
-    /// planar message as the general per-row combination under the same
-    /// draws.
+    /// The saturated compose (rank k, k % 64 == 0), once built, must emit
+    /// the same planar message as the general per-row combination under
+    /// the same draws.
     #[test]
     fn saturated_compose_matches_general_combination() {
         let (k, d) = (64, 3);
@@ -860,6 +898,7 @@ mod tests {
             let b: u64 = rng_b.random();
             assert_eq!(a, b, "draw counts must match");
         }
+        cell.build(0);
         let msg = &cell.msgs[..cell.rw];
         for (i, e) in expect.iter().enumerate() {
             assert_eq!(get_sym(msg, cell.w, i), e.0, "symbol {i}");

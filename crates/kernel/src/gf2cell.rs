@@ -12,19 +12,32 @@
 //! `indexed-broadcast` reports per-token availability.
 //!
 //! The RREF invariant matches `dyncode_gf::{Subspace, Gf2Basis}` exactly
-//! (reduce, pivot scan, back-eliminate, pivot-sorted insert — over GF(2)
-//! pivot normalization is a no-op), so the span evolution, the per-row
-//! coin count of every compose, and hence the whole run are bit-identical
-//! to the reference protocols. What changes is the cost model: a row
-//! operation is a `limb_xor` over `⌈(k+d)/64⌉` words with no allocation —
-//! the reference works element-wise on `Vec<Gf2>` (one byte per
-//! coordinate) and clones every packet on receive.
+//! (over GF(2) pivot normalization is a no-op), so the span evolution,
+//! the per-row coin count of every compose, and hence the whole run are
+//! bit-identical to the reference protocols. What changes is the cost
+//! model. Every row of an RREF basis is zero at every *other* row's
+//! pivot, and the kernel leans on that fact three times:
+//!
+//! * **Reduce** XORs in exactly the rows whose pivot bit is set in the
+//!   incoming packet (`v & pivot_mask`, walked word by word): no XOR can
+//!   flip another pivot bit, so the set is fixed up front and its XOR sum
+//!   equals the reference's ascending-pivot scan.
+//! * **Back-elimination** is one branch-free masked pass over the node's
+//!   contiguous slot block, `row ^= v & -(bit p of row)`.
+//! * **Compose** draws one coin per row in pivot order, records it
+//!   against the row's slot, and the message is one masked pass over the
+//!   slot block, built only when an unsaturated receiver hears it (see
+//!   [`FastCell::compose_all`]).
+//!
+//! The masked loops are instantiated for row widths of 1–8 limbs (one
+//! `match` on the width per delivery) and fall back to slice loops above.
 
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
 use dyncode_dynet::simulator::{CsrTopology, FastCell};
-use dyncode_gf::bits::{limb_get, limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
+use dyncode_gf::bits::{limb_leading_one, limb_ones, limb_prefix_ones, limbs_for};
 use dyncode_gf::Gf2Vec;
+use dyncode_obs::metrics::Counter;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -40,6 +53,31 @@ pub enum Gf2ViewMode {
     Indexed,
 }
 
+/// Calls `$self.$method::<W>(args)` with the row width `W` as a constant
+/// for widths 1–8 limbs, and with `W = 0` (read `self.wpr` at run time)
+/// above.
+macro_rules! by_width {
+    ($self:ident . $method:ident ( $($arg:expr),* )) => {
+        match $self.wpr {
+            1 => $self.$method::<1>($($arg),*),
+            2 => $self.$method::<2>($($arg),*),
+            3 => $self.$method::<3>($($arg),*),
+            4 => $self.$method::<4>($($arg),*),
+            5 => $self.$method::<5>($($arg),*),
+            6 => $self.$method::<6>($($arg),*),
+            7 => $self.$method::<7>($($arg),*),
+            8 => $self.$method::<8>($($arg),*),
+            _ => $self.$method::<0>($($arg),*),
+        }
+    };
+}
+
+/// `-(bit s of words)`: all ones if bit `s` is set, else zero.
+#[inline(always)]
+fn bit_mask(words: &[u64], s: usize) -> u64 {
+    0u64.wrapping_sub((words[s / 64] >> (s % 64)) & 1)
+}
+
 /// The arena-backed packed GF(2) coding state for all n nodes.
 pub struct Gf2Cell {
     n: usize,
@@ -48,31 +86,41 @@ pub struct Gf2Cell {
     ambient: usize,
     /// Row width in u64 limbs.
     wpr: usize,
+    /// Coin words per node: ⌈k/64⌉.
+    cw: usize,
     mode: Gf2ViewMode,
     /// Row arena: node `u`'s slot `s` lives at
     /// `rows[(u·k + s)·wpr .. (u·k + s + 1)·wpr]`. Slots are assigned in
-    /// insertion order and never move; `order` holds the pivot-sorted
-    /// permutation. A node's rank never exceeds k (every packet lies in
-    /// the span of the k source vectors), so k slots per node suffice.
+    /// insertion order and never move, so a node's rows are the
+    /// contiguous block of its first `rank` slots. A node's rank never
+    /// exceeds k (every packet lies in the span of the k source
+    /// vectors), so k slots per node suffice.
     rows: Vec<u64>,
-    /// Per node, basis position → row slot (pivot-ascending order).
-    order: Vec<u32>,
-    /// Per node, basis position → pivot column (strictly increasing).
-    pivots: Vec<u32>,
+    /// Per node, the pivot columns as a `wpr`-limb bit mask at
+    /// `pivot_mask[u·wpr ..]`; ascending set bits are the pivot order.
+    pivot_mask: Vec<u64>,
     /// Per node, column → row slot of the basis row pivoting there
-    /// (`u32::MAX` = no pivot): the O(1) lookup the reduce loop uses to
-    /// jump along `v`'s set bits instead of scanning every basis row.
+    /// (meaningful only where `pivot_mask` has the column's bit).
     pivot_slot: Vec<u32>,
     /// Per node: basis dimension.
     rank: Vec<u32>,
     /// Per node: pivots below k (the coefficient-projection rank).
     coeff_rank: Vec<u32>,
-    /// Message arena: node `u`'s current broadcast at
-    /// `msgs[u·wpr .. (u+1)·wpr]`, valid iff `has_msg[u]`.
+    /// This round's coins: bit `s` of `coins[u·cw ..]` is the coin node
+    /// `u` drew for its slot `s`, valid iff `has_msg[u]`.
+    coins: Vec<u64>,
+    /// Message arena: node `u`'s broadcast at `msgs[u·wpr .. (u+1)·wpr]`,
+    /// valid after `deliver_all` built it (`heard[u]`).
     msgs: Vec<u64>,
     has_msg: Vec<bool>,
+    /// Per node: does an unsaturated receiver hear it this round?
+    heard: Vec<bool>,
     /// Reduce buffer for incoming packets.
     scratch: Vec<u64>,
+    /// `kernel.msgs_drawn`: speakers that drew coins.
+    msgs_drawn: &'static Counter,
+    /// `kernel.msgs_built`: messages built for a receiver.
+    msgs_built: &'static Counter,
 }
 
 impl Gf2Cell {
@@ -82,21 +130,26 @@ impl Gf2Cell {
     pub fn new(n: usize, k: usize, payload_bits: usize, mode: Gf2ViewMode) -> Self {
         let ambient = k + payload_bits;
         let wpr = limbs_for(ambient).max(1);
+        let cw = limbs_for(k);
         Gf2Cell {
             n,
             k,
             ambient,
             wpr,
+            cw,
             mode,
             rows: vec![0; n * k * wpr],
-            order: vec![0; n * k],
-            pivots: vec![0; n * k],
-            pivot_slot: vec![u32::MAX; n * ambient],
+            pivot_mask: vec![0; n * wpr],
+            pivot_slot: vec![0; n * ambient],
             rank: vec![0; n],
             coeff_rank: vec![0; n],
+            coins: vec![0; n * cw],
             msgs: vec![0; n * wpr],
             has_msg: vec![false; n],
+            heard: vec![false; n],
             scratch: vec![0; wpr],
+            msgs_drawn: dyncode_obs::metrics::counter("kernel.msgs_drawn"),
+            msgs_built: dyncode_obs::metrics::counter("kernel.msgs_built"),
         }
     }
 
@@ -131,100 +184,165 @@ impl Gf2Cell {
     /// Basis row `r` (pivot order) of `node`, as a [`Gf2Vec`] — test and
     /// introspection surface, not the hot path.
     pub fn basis_row(&self, node: usize, r: usize) -> Gf2Vec {
-        let slot = self.order[node * self.k + r] as usize;
-        let base = (node * self.k + slot) * self.wpr;
-        Gf2Vec::from_words(self.rows[base..base + self.wpr].to_vec(), self.ambient)
+        let p = self.pivot_cols(node).nth(r).expect("row index below rank");
+        Gf2Vec::from_words(self.row(node, self.slot_of(node, p)).to_vec(), self.ambient)
+    }
+
+    /// `node`'s pivot columns, ascending.
+    fn pivot_cols(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        limb_ones(&self.pivot_mask[node * self.wpr..(node + 1) * self.wpr])
+    }
+
+    /// The slot of `node`'s row pivoting at column `p`.
+    fn slot_of(&self, node: usize, p: usize) -> usize {
+        self.pivot_slot[node * self.ambient + p] as usize
+    }
+
+    /// Row slot `s` of `node`.
+    fn row(&self, node: usize, s: usize) -> &[u64] {
+        let base = (node * self.k + s) * self.wpr;
+        &self.rows[base..base + self.wpr]
+    }
+
+    /// The row width in limbs: `W`, or `wpr` for the run-time fallback.
+    #[inline(always)]
+    fn width<const W: usize>(&self) -> usize {
+        if W == 0 {
+            self.wpr
+        } else {
+            W
+        }
     }
 
     /// Inserts `v` (a `wpr`-limb packet) into `node`'s basis; returns
-    /// `true` iff innovative. `v` is clobbered (it becomes the reduced
-    /// row). Identical math to `Subspace::insert` / `Gf2Basis::insert`.
+    /// `true` iff innovative. `v` is clobbered.
     fn insert(&mut self, node: usize, v: &mut [u64]) -> bool {
-        let (k, wpr) = (self.k, self.wpr);
-        let obase = node * k;
+        by_width!(self.insert_w(node, v))
+    }
+
+    /// [`Gf2Cell::insert`] at row width `W` (see [`Gf2Cell::width`]).
+    /// Identical math to `Subspace::insert` / `Gf2Basis::insert`; see the
+    /// module docs for why the masked passes are exact.
+    #[inline(always)]
+    fn insert_w<const W: usize>(&mut self, node: usize, v: &mut [u64]) -> bool {
+        let w = self.width::<W>();
+        let v = &mut v[..w];
+        let k = self.k;
         let nrank = self.rank[node] as usize;
-        let pbase = node * self.ambient;
-        // Reduce against the basis by jumping along `v`'s set bits with
-        // the pivot→slot lookup. This performs the exact xor sequence of
-        // the reference's ascending-pivot scan: an RREF row is zero left
-        // of its pivot, so xoring at pivot p clears bit p and can only
-        // touch bits beyond it — set bits are met in ascending order, a
-        // set bit at a pivot column triggers the same xor the scan would,
-        // and a set bit at a non-pivot column is permanent (no later row
-        // reaches below its own pivot). The first permanent bit is
-        // therefore the reduced vector's leading one.
-        let mut new_pivot = None;
-        let mut w = 0;
-        while w < wpr {
-            let mut word = v[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                let b = w * 64 + bit;
-                let slot = self.pivot_slot[pbase + b];
-                if slot != u32::MAX {
-                    let base = (obase + slot as usize) * wpr;
-                    limb_xor(v, &self.rows[base..base + wpr]);
-                    // Bit b is cleared; bits above it (this word included)
-                    // may have flipped — reload the word past bit b.
-                    word = if bit == 63 {
-                        0
-                    } else {
-                        v[w] & (!0u64 << (bit + 1))
-                    };
-                } else {
-                    new_pivot.get_or_insert(b);
-                    word &= word - 1;
+        let block = node * k * w;
+        let mask = &mut self.pivot_mask[node * w..(node + 1) * w];
+        let slot_of = &mut self.pivot_slot[node * self.ambient..(node + 1) * self.ambient];
+        // Reduce: the pivot bits of `v` are fixed by the RREF invariant,
+        // so each word's `v & mask` names exactly the rows to XOR in.
+        for i in 0..w {
+            let mut hit = v[i] & mask[i];
+            while hit != 0 {
+                let p = i * 64 + hit.trailing_zeros() as usize;
+                hit &= hit - 1;
+                let base = block + slot_of[p] as usize * w;
+                for (x, y) in v.iter_mut().zip(&self.rows[base..base + w]) {
+                    *x ^= y;
                 }
             }
-            w += 1;
         }
-        let Some(p) = new_pivot else {
+        let Some(p) = limb_leading_one(v) else {
             return false;
         };
-        debug_assert_eq!(limb_leading_one(v), Some(p));
-        // Back-eliminate the new pivot column from existing rows.
-        for r in 0..nrank {
-            let slot = self.order[obase + r] as usize;
-            let base = (obase + slot) * wpr;
-            if limb_get(&self.rows[base..base + wpr], p) {
-                limb_xor(&mut self.rows[base..base + wpr], v);
+        // Back-eliminate column p from every existing row, branch-free.
+        for row in self.rows[block..block + nrank * w].chunks_exact_mut(w) {
+            let m = bit_mask(row, p);
+            for (x, y) in row.iter_mut().zip(v.iter()) {
+                *x ^= y & m;
             }
         }
-        // Insert keeping pivots sorted; the row data takes slot `nrank`.
         assert!(
             nrank < k,
             "rank overflow: packets must lie in the k-dimensional source span"
         );
-        let idx = self.pivots[obase..obase + nrank].partition_point(|&q| (q as usize) < p);
-        for i in (idx..nrank).rev() {
-            self.order[obase + i + 1] = self.order[obase + i];
-            self.pivots[obase + i + 1] = self.pivots[obase + i];
-        }
-        self.order[obase + idx] = nrank as u32;
-        self.pivots[obase + idx] = p as u32;
-        self.pivot_slot[pbase + p] = nrank as u32;
-        let base = (obase + nrank) * wpr;
-        self.rows[base..base + wpr].copy_from_slice(v);
+        self.rows[block + nrank * w..block + (nrank + 1) * w].copy_from_slice(v);
+        mask[p / 64] |= 1 << (p % 64);
+        slot_of[p] = nrank as u32;
         self.rank[node] += 1;
-        if p < self.k {
+        if p < k {
             self.coeff_rank[node] += 1;
         }
         true
     }
 
+    /// Builds `node`'s message from its recorded coins: the XOR of the
+    /// rows whose coin came up, one masked pass over the slot block.
+    #[inline(always)]
+    fn build_w<const W: usize>(&mut self, node: usize) {
+        let w = self.width::<W>();
+        let nrank = self.rank[node] as usize;
+        let block = node * self.k * w;
+        let coins = &self.coins[node * self.cw..(node + 1) * self.cw];
+        let msg = &mut self.msgs[node * w..(node + 1) * w];
+        msg.fill(0);
+        for (s, row) in self.rows[block..block + nrank * w]
+            .chunks_exact(w)
+            .enumerate()
+        {
+            let m = bit_mask(coins, s);
+            for (x, y) in msg.iter_mut().zip(row) {
+                *x ^= y & m;
+            }
+        }
+    }
+
+    /// [`FastCell::deliver_all`] at row width `W`.
+    fn deliver_w<const W: usize>(&mut self, topo: &CsrTopology) {
+        let w = self.width::<W>();
+        let k = self.k as u32;
+        // Mark every speaker some unsaturated receiver hears, then build
+        // those messages before any insert changes a basis.
+        self.heard.fill(false);
+        for u in 0..self.n {
+            if self.rank[u] < k {
+                for &v in topo.neighbors(u) {
+                    self.heard[v as usize] = true;
+                }
+            }
+        }
+        let mut built = 0;
+        for v in 0..self.n {
+            if self.heard[v] && self.has_msg[v] {
+                self.build_w::<W>(v);
+                built += 1;
+            }
+        }
+        self.msgs_built.add(built);
+        let timing = dyncode_obs::enabled();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for u in 0..self.n {
+            // Saturation shortcut: every packet lies in the span of the k
+            // source vectors, so a node at rank k already holds the full
+            // span — no insert can be innovative or change any state, and
+            // the whole inbox can be skipped.
+            if self.rank[u] == k {
+                continue;
+            }
+            let t = timing.then(std::time::Instant::now);
+            for &v in topo.neighbors(u) {
+                let v = v as usize;
+                if self.has_msg[v] {
+                    scratch[..w].copy_from_slice(&self.msgs[v * w..(v + 1) * w]);
+                    self.insert_w::<W>(u, &mut scratch);
+                }
+            }
+            if let Some(t) = t {
+                dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
+            }
+        }
+        self.scratch = scratch;
+    }
+
     /// Individually decodable tokens of `node` (unit coefficient
     /// prefixes), as set bits inserted into `out`.
     fn available_into(&self, node: usize, out: &mut BitSet) -> usize {
-        let obase = node * self.k;
         let mut count = 0;
-        for r in 0..self.rank[node] as usize {
-            let p = self.pivots[obase + r] as usize;
-            if p >= self.k {
-                break; // pivots are sorted: the rest are payload pivots
-            }
-            let slot = self.order[obase + r] as usize;
-            let base = (obase + slot) * self.wpr;
-            if limb_prefix_ones(&self.rows[base..base + self.wpr], self.k) == 1 {
+        for p in self.pivot_cols(node).take_while(|&p| p < self.k) {
+            if limb_prefix_ones(self.row(node, self.slot_of(node, p)), self.k) == 1 {
                 out.insert(p);
                 count += 1;
             }
@@ -252,31 +370,27 @@ impl FastCell for Gf2Cell {
         rng: &mut StdRng,
         bit_limit: Option<u64>,
     ) -> (u64, u64) {
-        let wpr = self.wpr;
+        let (wpr, cw) = (self.wpr, self.cw);
         let bits = self.ambient as u64;
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
+        let mut drawn = 0;
         for u in 0..self.n {
-            let nrank = self.rank[u] as usize;
-            if nrank == 0 {
+            if self.rank[u] == 0 {
                 // A node that has received nothing stays silent — and
                 // draws no coins, exactly like the reference emit.
                 self.has_msg[u] = false;
                 continue;
             }
-            self.msgs[u * wpr..(u + 1) * wpr].fill(0);
-            let obase = u * self.k;
-            for r in 0..nrank {
-                // One coin per basis row in pivot order: the exact draw
-                // sequence of `random_combination` over GF(2).
+            let coins = &mut self.coins[u * cw..(u + 1) * cw];
+            coins.fill(0);
+            let slot_of = &self.pivot_slot[u * self.ambient..(u + 1) * self.ambient];
+            // One coin per basis row in pivot order: the exact draw
+            // sequence of `random_combination` over GF(2).
+            for p in limb_ones(&self.pivot_mask[u * wpr..(u + 1) * wpr]) {
                 let coin: bool = rng.random();
-                if coin {
-                    let slot = self.order[obase + r] as usize;
-                    let base = (obase + slot) * wpr;
-                    // Split the arenas: msgs and rows are disjoint fields.
-                    let (msg, row) = (&mut self.msgs, &self.rows);
-                    limb_xor(&mut msg[u * wpr..(u + 1) * wpr], &row[base..base + wpr]);
-                }
+                let s = slot_of[p] as usize;
+                coins[s / 64] |= (coin as u64) << (s % 64);
             }
             if let Some(limit) = bit_limit {
                 assert!(
@@ -288,39 +402,14 @@ impl FastCell for Gf2Cell {
             round_bits += bits;
             round_max = round_max.max(bits);
             self.has_msg[u] = true;
+            drawn += 1;
         }
+        self.msgs_drawn.add(drawn);
         (round_bits, round_max)
     }
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
-        let wpr = self.wpr;
-        let timing = dyncode_obs::enabled();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for u in 0..self.n {
-            // Saturation shortcut: every packet lies in the span of the k
-            // source vectors, so a node at rank k already holds the full
-            // span — no insert can be innovative or change any state, and
-            // the whole inbox can be skipped. (The reference pays a full
-            // O(rank · len) reduce per packet here; this is where the
-            // fast path wins the straggler phase of a run.)
-            if self.rank[u] as usize == self.k {
-                continue;
-            }
-            for &v in topo.neighbors(u) {
-                let v = v as usize;
-                if self.has_msg[v] {
-                    scratch.copy_from_slice(&self.msgs[v * wpr..(v + 1) * wpr]);
-                    if timing {
-                        let t = std::time::Instant::now();
-                        self.insert(u, &mut scratch);
-                        dyncode_dynet::phase::elim_add(t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.insert(u, &mut scratch);
-                    }
-                }
-            }
-        }
-        self.scratch = scratch;
+        by_width!(self.deliver_w(topo))
     }
 
     fn all_done(&self) -> bool {
@@ -382,43 +471,98 @@ impl FastCell for Gf2Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyncode_gf::bits::{limb_get, limb_xor};
     use dyncode_gf::Gf2Basis;
     use rand::SeedableRng;
 
-    /// Mirror of the packed reference basis: every insert must agree on
-    /// innovation, rank, pivots, and row content. Inputs are random
-    /// combinations of k source packets — the only vectors a run can ever
-    /// deliver (and what bounds the row arena at k slots per node).
+    /// Mirror of the packed reference basis at every row width the
+    /// kernel instantiates (1, 2, 3 and 8 limbs) and at the slice-loop
+    /// fallback above 8 limbs, in both view modes. After every insert
+    /// the cell must agree on innovation, rank, pivots, every row, the
+    /// coefficient rank and the decodable tokens; the message it then
+    /// builds must be the reference's random combination under the same
+    /// coins, and the XOR of the rows its recorded coins select. Inputs
+    /// are random combinations of k source packets — the only vectors a
+    /// run can ever deliver (and what bounds the row arena at k slots per
+    /// node).
     #[test]
     fn insert_agrees_with_gf2basis() {
-        let (k, d) = (6, 9);
-        let mut rng = StdRng::seed_from_u64(11);
-        let sources: Vec<Gf2Vec> = (0..k)
-            .map(|i| Gf2Vec::unit(k, i).concat(&Gf2Vec::random(d, &mut rng)))
-            .collect();
-        let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Indexed);
-        let mut reference = Gf2Basis::new(k + d);
-        for _ in 0..60 {
-            let mut v = Gf2Vec::zeros(k + d);
-            for s in &sources {
-                if rng.random() {
-                    v.xor_assign(s);
+        for ambient in [1, 63, 64, 65, 127, 128, 129, 511, 512, 513] {
+            for mode in [Gf2ViewMode::Indexed, Gf2ViewMode::Broadcast] {
+                let k = (ambient / 3).max(1);
+                let d = ambient - k;
+                let ctx = format!("k+d={ambient} k={k} {mode:?}");
+                let mut rng = StdRng::seed_from_u64(11 + ambient as u64);
+                let sources: Vec<Gf2Vec> = (0..k)
+                    .map(|i| Gf2Vec::unit(k, i).concat(&Gf2Vec::random(d, &mut rng)))
+                    .collect();
+                // Node 0 mirrors the reference; node 1 hears only node 0,
+                // so node 0's message is built while node 1 is below rank k.
+                let mut cell = Gf2Cell::new(2, k, d, mode);
+                let mut plan = CsrTopology::new(2);
+                plan.load_plan(&[0, 0, 1], &[0]);
+                let mut reference = Gf2Basis::new(ambient);
+                let mut built = 0;
+                for _ in 0..k + 8 {
+                    let mut v = Gf2Vec::zeros(ambient);
+                    for s in &sources {
+                        if rng.random() {
+                            v.xor_assign(s);
+                        }
+                    }
+                    let mut limbs = v.words().to_vec();
+                    limbs.resize(cell.wpr, 0);
+                    assert_eq!(cell.insert(0, &mut limbs), reference.insert(v), "{ctx}");
+                    assert_eq!(cell.rank(0), reference.dim(), "{ctx}");
+                    let pivots: Vec<usize> = cell.pivot_cols(0).collect();
+                    assert_eq!(pivots, reference.pivots(), "{ctx}");
+                    for (r, row) in reference.basis().iter().enumerate() {
+                        assert_eq!(&cell.basis_row(0, r), row, "{ctx} row {r}");
+                    }
+                    assert_eq!(
+                        cell.coefficient_rank(0),
+                        reference.prefix_rank(k),
+                        "{ctx} coefficient rank"
+                    );
+                    let decodable: Vec<usize> = reference
+                        .decode_available(k)
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, payload)| payload.as_ref().map(|_| i))
+                        .collect();
+                    let mut avail = BitSet::new(k);
+                    assert_eq!(cell.available_into(0, &mut avail), decodable.len());
+                    assert_eq!(avail.iter().collect::<Vec<_>>(), decodable, "{ctx}");
+                    let viewed: Vec<usize> = cell.view().tokens[0].iter().collect();
+                    match mode {
+                        Gf2ViewMode::Indexed => assert_eq!(viewed, decodable, "{ctx}"),
+                        Gf2ViewMode::Broadcast => {
+                            let done = reference.prefix_rank(k) == k;
+                            assert_eq!(viewed.len(), if done { k } else { 0 }, "{ctx}");
+                        }
+                    }
+                    let mut coins_rng = StdRng::seed_from_u64(rng.random());
+                    let expect = reference
+                        .random_combination(&mut coins_rng.clone())
+                        .expect("rank ≥ 1 after the first insert");
+                    cell.compose_all(0, &mut coins_rng, None);
+                    if cell.rank(1) == k {
+                        continue;
+                    }
+                    cell.deliver_all(&plan, 0, &mut rng);
+                    let msg = cell.msgs[..cell.wpr].to_vec();
+                    assert_eq!(Gf2Vec::from_words(msg.clone(), ambient), expect, "{ctx}");
+                    let mut selected = vec![0u64; cell.wpr];
+                    for s in 0..cell.rank(0) {
+                        if limb_get(&cell.coins[..cell.cw], s) {
+                            limb_xor(&mut selected, cell.row(0, s));
+                        }
+                    }
+                    assert_eq!(selected, msg, "{ctx} recorded coins");
+                    built += 1;
                 }
+                assert!(built > k / 2, "{ctx}: only {built} messages checked");
             }
-            let mut limbs = v.words().to_vec();
-            limbs.resize(cell.wpr, 0);
-            let fast = cell.insert(0, &mut limbs);
-            let slow = reference.insert(v);
-            assert_eq!(fast, slow);
-            assert_eq!(cell.rank(0), reference.dim());
-            for (r, row) in reference.basis().iter().enumerate() {
-                assert_eq!(&cell.basis_row(0, r), row, "row {r}");
-            }
-            assert_eq!(
-                cell.coefficient_rank(0),
-                reference.prefix_rank(k),
-                "coefficient rank"
-            );
         }
     }
 

@@ -38,9 +38,14 @@
 //! per-round history. This holds because each cell replays the
 //! reference protocol's event order exactly: the adversary sees the same
 //! [`KnowledgeView`](dyncode_dynet::adversary::KnowledgeView) each
-//! round, protocol coins are drawn in the same order (one `bool` per
-//! basis row per compose for the coding cells, none for forwarding), and
-//! deliveries apply per node in ascending neighbor order.
+//! round (or, if it is oblivious, the same blank one), protocol coins are
+//! drawn in the same order in `compose_all` (one per basis row per
+//! compose for the coding cells, none for forwarding), and deliveries
+//! apply per node in ascending neighbor order. [`Gf2Cell`] and
+//! [`Gf256Cell`] only record their coins in `compose_all` and build a
+//! message in `deliver_all`, before the first insert, and only if a
+//! receiver below rank k hears it: no basis changes between the two
+//! calls, so every built message equals the eagerly composed one.
 //! `tests/kernel_equivalence.rs` locks the contract across the
 //! eligible-spec × adversary × seed matrix.
 

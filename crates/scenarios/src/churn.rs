@@ -113,6 +113,10 @@ impl<A: Adversary> Adversary for ChurnAdversary<A> {
         }
         g
     }
+
+    fn oblivious(&self) -> bool {
+        self.inner.oblivious()
+    }
 }
 
 #[cfg(test)]

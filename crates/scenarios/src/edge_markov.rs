@@ -174,6 +174,10 @@ impl Adversary for EdgeMarkovAdversary {
         }));
         g
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -107,6 +107,10 @@ impl<R: Read + Seek> Adversary for DctReplay<R> {
         self.graph_at(idx)
             .unwrap_or_else(|e| panic!("trace replay failed at round {round}: {e}"))
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 /// Wraps an adversary, streaming every emitted topology into a
@@ -151,6 +155,10 @@ impl<A: Adversary, W: Write + Seek> Adversary for DctRecording<A, W> {
             .push(&g)
             .unwrap_or_else(|e| panic!("trace write failed at round {round}: {e}"));
         g
+    }
+
+    fn oblivious(&self) -> bool {
+        self.inner.oblivious()
     }
 }
 

@@ -327,6 +327,10 @@ impl Adversary for WaypointAdversary {
         self.geometric_repair(&mut g);
         g
     }
+
+    fn oblivious(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -213,3 +213,139 @@ fn recorded_schedules_replay_across_protocols() {
     );
     assert!(r2.completed && fully_disseminated(&coded));
 }
+
+/// Hands its inner adversary whatever view the round loop builds, and
+/// keeps that view and the chosen topology. It is not oblivious itself,
+/// so the loop always builds the nodes' real knowledge view for it.
+struct ViewProbe {
+    inner: Box<dyn Adversary>,
+    views: Vec<KnowledgeView>,
+    graphs: Vec<Graph>,
+}
+
+impl Adversary for ViewProbe {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn topology(&mut self, round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
+        let g = self.inner.topology(round, view, rng);
+        self.views.push(view.clone());
+        self.graphs.push(g.clone());
+        g
+    }
+}
+
+#[test]
+fn oblivious_adversaries_choose_the_same_schedule_from_a_blank_view() {
+    // An adversary that claims `oblivious()` gets one blank node-count
+    // view per run instead of the real one, so its schedule must not
+    // depend on the view. Run an indexed-broadcast cell against each
+    // adversary with the real per-round views, then replay the adversary
+    // from the same adversary seed on the blank view. The equivalence
+    // suites cannot catch a wrong `true`: both kernels would see the
+    // same blank view.
+    use dyncode::engine::AdversaryKind;
+    use dyncode::scenarios::{record_scenario, DctReplay, ScenarioKind};
+    use dyncode_dynet::adversaries::{StaticAdversary, TIntervalAdversary};
+    use dyncode_dynet::simulator::adversary_rng;
+    use dyncode_dynet::trace::ReplayAdversary;
+    use rand::SeedableRng;
+    use std::io::Cursor;
+
+    let n = 24;
+    let seed = 5;
+    let inst = Instance::generate(Params::new(n, n, 6, 12), Placement::OneTokenPerNode, 3);
+    let mut dct = Cursor::new(Vec::new());
+    let scenario = ScenarioKind::parse("edge-markov(0.1,0.3)").unwrap();
+    record_scenario(&scenario, n, 40, seed, &mut dct).unwrap();
+    let dct = dct.into_inner();
+    let mut graph_rng = StdRng::seed_from_u64(9);
+    let replayed: Vec<Graph> = (0..30)
+        .map(|_| dyncode_dynet::generators::random_connected(n, 2, &mut graph_rng))
+        .collect();
+
+    type Make = Box<dyn Fn() -> Box<dyn Adversary>>;
+    let mut adversaries: Vec<(String, Make)> = [
+        "shuffled-path",
+        "shuffled-star",
+        "bottleneck",
+        "knowledge-adaptive",
+        "random-connected",
+        "edge-markov(0.1,0.3)",
+        "waypoint(0.3,0.05)",
+        "churn(0.2,random-connected)",
+        "churn(0.2,knowledge-adaptive)",
+    ]
+    .into_iter()
+    .map(|s| {
+        let kind = AdversaryKind::parse(s).unwrap();
+        (s.to_string(), Box::new(move || kind.build(1)) as Make)
+    })
+    .collect();
+    adversaries.push((
+        "trace(.dct)".into(),
+        Box::new(move || Box::new(DctReplay::new(Cursor::new(dct.clone())).unwrap())),
+    ));
+    adversaries.push((
+        "replay".into(),
+        Box::new(move || Box::new(ReplayAdversary::from_graphs(&replayed))),
+    ));
+    adversaries.push((
+        "static-path".into(),
+        Box::new(move || Box::new(StaticAdversary::path(n))),
+    ));
+    adversaries.push((
+        "t-interval".into(),
+        Box::new(|| Box::new(TIntervalAdversary::new(4, 3))),
+    ));
+
+    for (name, make) in &adversaries {
+        for t in [1, 3] {
+            let build = || -> Box<dyn Adversary> {
+                if t == 1 {
+                    make()
+                } else {
+                    Box::new(TStable::new(make(), t))
+                }
+            };
+            let ctx = format!("{name} t={t}");
+            let mut probe = ViewProbe {
+                inner: build(),
+                views: Vec::new(),
+                graphs: Vec::new(),
+            };
+            let mut p = IndexedBroadcast::new(&inst);
+            let r = run(
+                &mut p,
+                &mut probe,
+                &SimConfig::with_max_rounds(50 * n),
+                seed,
+            );
+            assert!(r.completed, "{ctx}");
+            assert!(
+                probe
+                    .views
+                    .iter()
+                    .any(|v| v.tokens.iter().any(|s| !s.is_empty())),
+                "{ctx}: the real views must carry node state"
+            );
+
+            let mut adv = build();
+            let mut rng = adversary_rng(seed);
+            let blank = KnowledgeView::blank(n, 0);
+            let schedule: Vec<Graph> = (0..probe.graphs.len())
+                .map(|round| adv.topology(round, &blank, &mut rng))
+                .collect();
+            let adaptive = name.contains("knowledge-adaptive");
+            assert_eq!(adv.oblivious(), !adaptive, "{ctx}");
+            if adaptive {
+                assert_ne!(
+                    schedule, probe.graphs,
+                    "{ctx}: the blank view must change an adaptive schedule"
+                );
+            } else {
+                assert_eq!(schedule, probe.graphs, "{ctx}");
+            }
+        }
+    }
+}
